@@ -353,23 +353,31 @@ func BenchmarkSweepStackDist(b *testing.B) {
 	b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// multiGeoms are the default size ladder at the default associativity,
+// then ways 1, 2, 16, 4 and 32: any prefix is a multi-geometry pass,
+// and all six are ways 1–32.
+var multiGeoms = []machine.SweepGeometry{
+	{SizesKB: machine.DefaultSweepSizesKB, Ways: machine.DefaultSweepWays},
+	{SizesKB: machine.DefaultSweepSizesKB, Ways: 1},
+	{SizesKB: machine.DefaultSweepSizesKB, Ways: 2},
+	{SizesKB: machine.DefaultSweepSizesKB, Ways: 16},
+	{SizesKB: machine.DefaultSweepSizesKB, Ways: 4},
+	{SizesKB: machine.DefaultSweepSizesKB, Ways: 32},
+}
+
 // BenchmarkSweepMultiGeometry prices geometry count under the
-// stack-distance engine: one pass answering 1 vs 4 associativities
-// over the default size ladder. Extra geometries only add per-set
-// stacks (more histogram buckets, same trace work), so geoms-4 must
-// scale near-flat relative to geoms-1 — the benchguard ratio pins it.
+// stack-distance engine: one pass answering 1, 4 or 6 associativities
+// over the default size ladder (geoms-6 is ways 1–32, the shape of the
+// scenarios that sweep every associativity). Extra geometries only add
+// per-set stacks (more histogram buckets, same trace work), so geoms-4
+// and geoms-6 must scale near-flat relative to geoms-1 — the
+// benchguard ratios pin it.
 func BenchmarkSweepMultiGeometry(b *testing.B) {
 	w := Representative17()[14] // H-WordCount
-	geoms := []machine.SweepGeometry{
-		{SizesKB: machine.DefaultSweepSizesKB, Ways: machine.DefaultSweepWays},
-		{SizesKB: machine.DefaultSweepSizesKB, Ways: 1},
-		{SizesKB: machine.DefaultSweepSizesKB, Ways: 2},
-		{SizesKB: machine.DefaultSweepSizesKB, Ways: 16},
-	}
-	for _, n := range []int{1, 4} {
+	for _, n := range []int{1, 4, 6} {
 		b.Run(fmt.Sprintf("geoms-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sw, err := machine.NewStackSweep(0, geoms[:n]...)
+				sw, err := machine.NewStackSweep(0, multiGeoms[:n]...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,22 +389,35 @@ func BenchmarkSweepMultiGeometry(b *testing.B) {
 }
 
 // BenchmarkSweepFanout measures one cold sweep trace pass with the
-// per-cache block-replay fan-out pinned to 1, 2, 4 and 8 in-flight
-// replays — the numbers behind the Sweep.Parallelism default
-// (DESIGN.md "Sweep fan-out parallelism"). The fan-out distributes 30
-// independent caches per ~4096-instruction block across the shared
-// replay pool, so the win tracks physical cores: on a single-core host
-// all widths converge on the serial time (the pool adds only
-// scheduling overhead), and wider hosts shorten the per-block barrier
-// proportionally. workers-1 replays serially in the caller (no pool
-// hop) and is the floor every width must not regress below on one
-// core.
+// block-replay fan-out pinned — the numbers behind the Parallelism
+// defaults (DESIGN.md "Sweep fan-out parallelism"). workers-N pins
+// Sweep, which distributes 30 independent caches per ~4096-instruction
+// block across the shared replay pool, to 1, 2, 4 and 8 in-flight
+// replays; stackdist-workers-N pins StackSweep over ways 1–32, which
+// distributes its three views (unified first), to 1 and 2. The win
+// tracks physical cores: on a single-core host every width converges
+// on the serial time (the pool adds only scheduling overhead). Width 1
+// replays serially in the caller (no pool hop) and is the floor every
+// width must not regress below on one core.
 func BenchmarkSweepFanout(b *testing.B) {
 	w := Representative17()[14] // H-WordCount
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sw := machine.NewSweep(machine.DefaultSweepSizesKB)
+				sw.Parallelism = workers
+				workloads.Run(w, sw, sweepPassBudget)
+			}
+			b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("stackdist-workers-%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sw, err := machine.NewStackSweep(0, multiGeoms...)
+				if err != nil {
+					b.Fatal(err)
+				}
 				sw.Parallelism = workers
 				workloads.Run(w, sw, sweepPassBudget)
 			}

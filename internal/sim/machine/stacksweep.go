@@ -28,19 +28,21 @@ type SweepGeometry struct {
 // arithmetically from the reuse-depth histograms (stackdist.Stack).
 // One trace pass therefore prices *all* geometries at the shared line
 // size — the marginal cost of an extra geometry is at most one more
-// set count to maintain, usually zero.
+// set count to maintain, usually zero. Each view's accumulators form a
+// stackdist.Family, which skips a record at every set count refining
+// one where the record was already on top of its set.
 //
 // It consumes exactly the streams Sweep does (the shared blockDecoder:
 // I-line dedup, D-side run merging, unified interleaving) and its
 // Curves are bit-identical to Sweep's for every geometry — Sweep
 // remains the differential oracle proving that.
 //
-// Like Sweep it implements both trace.Probe (serial reference) and
-// trace.BlockProbe (the hot path, with the per-(view, set count)
-// accumulators fanned out across the shared replay pool).
+// Like Sweep it implements both trace.Probe (serial reference, every
+// accumulator fed every access) and trace.BlockProbe (the hot path,
+// with the three views fanned out across the shared replay pool).
 type StackSweep struct {
-	// Parallelism bounds the per-accumulator fan-out of block replay,
-	// exactly as Sweep.Parallelism does for caches.
+	// Parallelism bounds the per-view fan-out of block replay, as
+	// Sweep.Parallelism does for caches.
 	Parallelism int
 
 	// Cancel, when non-nil, makes InstBlock drain without accounting
@@ -53,12 +55,10 @@ type StackSweep struct {
 	geoms     []SweepGeometry
 	lineBytes int
 
-	setCounts []int
-	depths    []int // per set count: the max ways any geometry reads at it
-	setIdx    map[int]int
-	istacks   []*stackdist.Stack
-	dstacks   []*stackdist.Stack
-	ustacks   []*stackdist.Stack
+	// views holds the unified, instruction and data families, in that
+	// order: the unified stream has about as many records as the other
+	// two together, so it is handed to the fan-out first.
+	views [3]*stackdist.Family
 }
 
 // NewStackSweep builds a single-pass sweep over any number of
@@ -82,8 +82,8 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 	s := &StackSweep{
 		lineBytes:    lineBytes,
 		blockDecoder: blockDecoder{lineShift: shift},
-		setIdx:       map[int]int{},
 	}
+	depths := map[int]int{}
 	for _, g := range geoms {
 		if g.Ways == 0 {
 			g.Ways = DefaultSweepWays
@@ -102,22 +102,12 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 			// a depth-1 stack (one compare per access), which is what
 			// keeps many-geometry passes near-flat.
 			sets := (kb << 10) / (g.Ways * lineBytes)
-			if idx, ok := s.setIdx[sets]; ok {
-				if g.Ways > s.depths[idx] {
-					s.depths[idx] = g.Ways
-				}
-			} else {
-				s.setIdx[sets] = len(s.setCounts)
-				s.setCounts = append(s.setCounts, sets)
-				s.depths = append(s.depths, g.Ways)
-			}
+			depths[sets] = max(depths[sets], g.Ways)
 		}
 		s.geoms = append(s.geoms, g)
 	}
-	for i, sets := range s.setCounts {
-		s.istacks = append(s.istacks, stackdist.New(sets, s.depths[i]))
-		s.dstacks = append(s.dstacks, stackdist.New(sets, s.depths[i]))
-		s.ustacks = append(s.ustacks, stackdist.New(sets, s.depths[i]))
+	for v := range s.views {
+		s.views[v] = stackdist.NewFamily(depths)
 	}
 	return s, nil
 }
@@ -127,32 +117,32 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 func (s *StackSweep) Geometries() []SweepGeometry { return s.geoms }
 
 // Inst implements trace.Probe — the serial reference, accounting every
-// access inline with the same I-line dedup Sweep.Inst applies. Run
-// merging is a block-path packing detail; the per-access and packed
-// forms accumulate identical histograms (a merged repeat is a depth-0
-// hit by construction).
+// access inline into every accumulator, unpruned, with the same I-line
+// dedup Sweep.Inst applies. Run merging is a block-path packing detail;
+// the per-access and packed forms accumulate identical histograms (a
+// merged repeat is a depth-0 hit by construction).
 func (s *StackSweep) Inst(i *isa.Inst) {
+	uni, inst, data := s.views[0].Stacks(), s.views[1].Stacks(), s.views[2].Stacks()
 	if line := i.PC >> s.lineShift; line != s.lastILine {
 		s.lastILine = line
-		for k := range s.istacks {
-			s.istacks[k].Access(line, 0)
-			s.ustacks[k].Access(line, 0)
+		for k := range inst {
+			inst[k].Access(line, 0)
+			uni[k].Access(line, 0)
 		}
 	}
 	if i.Op == isa.Load || i.Op == isa.Store {
 		line := i.Addr >> s.lineShift
-		for k := range s.dstacks {
-			s.dstacks[k].Access(line, 0)
-			s.ustacks[k].Access(line, 0)
+		for k := range data {
+			data[k].Access(line, 0)
+			uni[k].Access(line, 0)
 		}
 	}
 }
 
 // InstBlock implements trace.BlockProbe: decode once (shared with
-// Sweep), then replay the three streams into every set count's
-// accumulators. Each accumulator is owned by exactly one worker and
-// the streams are read-only during the fan-out, so any schedule
-// produces the same histograms.
+// Sweep), then replay each view's stream into its family. Each family
+// is owned by exactly one worker and the streams are read-only during
+// the fan-out, so any schedule produces the same histograms.
 func (s *StackSweep) InstBlock(block []isa.Inst) {
 	if s.Cancel != nil {
 		select {
@@ -162,34 +152,19 @@ func (s *StackSweep) InstBlock(block []isa.Inst) {
 		}
 	}
 	s.decode(block)
-	iRecs, dRecs, uRecs := s.iRecs, s.dRecs, s.uRecs
-
-	n := len(s.istacks)
+	streams := [3][]cache.Rec{s.uRecs, s.iRecs, s.dRecs}
 	par := s.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par == 1 || n == 1 {
-		for k := 0; k < n; k++ {
-			s.istacks[k].AccessBlock(iRecs)
-		}
-		for k := 0; k < n; k++ {
-			s.dstacks[k].AccessBlock(dRecs)
-		}
-		for k := 0; k < n; k++ {
-			s.ustacks[k].AccessBlock(uRecs)
+	if par == 1 {
+		for v, f := range s.views {
+			f.AccessBlock(streams[v])
 		}
 		return
 	}
-	sharedReplayPool().ForEachN(par, 3*n, func(k int) {
-		switch k / n {
-		case 0:
-			s.istacks[k%n].AccessBlock(iRecs)
-		case 1:
-			s.dstacks[k%n].AccessBlock(dRecs)
-		default:
-			s.ustacks[k%n].AccessBlock(uRecs)
-		}
+	sharedReplayPool().ForEachN(par, len(s.views), func(v int) {
+		s.views[v].AccessBlock(streams[v])
 	})
 }
 
@@ -205,10 +180,10 @@ func (s *StackSweep) Curves(g int) Curves {
 		Unified: make([]float64, len(geom.SizesKB)),
 	}
 	for j, kb := range geom.SizesKB {
-		idx := s.setIdx[(kb<<10)/(geom.Ways*s.lineBytes)]
-		out.Inst[j] = s.istacks[idx].MissRatio(geom.Ways)
-		out.Data[j] = s.dstacks[idx].MissRatio(geom.Ways)
-		out.Unified[j] = s.ustacks[idx].MissRatio(geom.Ways)
+		sets := (kb << 10) / (geom.Ways * s.lineBytes)
+		out.Unified[j] = s.views[0].Stack(sets).MissRatio(geom.Ways)
+		out.Inst[j] = s.views[1].Stack(sets).MissRatio(geom.Ways)
+		out.Data[j] = s.views[2].Stack(sets).MissRatio(geom.Ways)
 	}
 	return out
 }

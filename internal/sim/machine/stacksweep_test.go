@@ -12,9 +12,9 @@ import (
 
 // TestStackSweepMatchesReplayGeometries is the engine differential:
 // for every associativity the scenarios sweep, non-default line sizes
-// included, the stack-distance engine must produce bit-identical
-// curves to the concrete-cache replay oracle over the same workload
-// trace.
+// and non-power-of-two ways and set counts included, the
+// stack-distance engine must produce bit-identical curves to the
+// concrete-cache replay oracle over the same workload trace.
 func TestStackSweepMatchesReplayGeometries(t *testing.T) {
 	w := workloads.Representative17()[4] // S-WordCount
 	const budget = 60_000
@@ -30,6 +30,10 @@ func TestStackSweepMatchesReplayGeometries(t *testing.T) {
 		{[]int{16, 32, 128}, 2, 32},
 		{[]int{16, 32, 128}, 8, 128},
 		{[]int{64, 512}, 4, 256},
+		{[]int{24, 48, 96}, 1, 0}, // 384, 768, 1536 sets
+		{[]int{24, 48, 96}, 3, 0},
+		{[]int{24, 48, 96}, 6, 0},
+		{[]int{24, 48, 96}, 12, 0},
 	}
 	for _, c := range cases {
 		ref, err := NewSweepSpec(c.sizes, c.ways, c.line)
@@ -183,7 +187,7 @@ func TestStackSweepCancelDrainsBlocks(t *testing.T) {
 	ss.Cancel = ctx.Done()
 	cancel()
 	workloads.Run(workloads.Representative17()[4], ss, 50_000)
-	for _, st := range ss.istacks {
+	for _, st := range ss.views[1].Stacks() {
 		if st.Accesses() != 0 {
 			t.Fatalf("cancelled stack sweep still accounted %d accesses", st.Accesses())
 		}

@@ -19,17 +19,10 @@ package stackdist
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/sim/cache"
 )
-
-// compressBytes is the tag-slab size past which AccessBlock groups each
-// block's records by set before replaying them (see accessGrouped): for
-// stacks much larger than the cache hierarchy the per-record set is
-// effectively a random slab line, so grouping turns one cache miss per
-// record into one per touched set, and repeats of a set's hottest line
-// inside the block fold into a counter bump with no stack walk at all.
-const compressBytes = 1 << 19
 
 // Stack tracks the LRU stack distance of every access for one set
 // count. The depth bounds how far a line's reuse is tracked: a reuse
@@ -38,8 +31,8 @@ const compressBytes = 1 << 19
 // at most depth ways would see. One Stack therefore answers Misses(W)
 // for every W in [1, depth].
 //
-// A Stack is not safe for concurrent use; sweeps give every (view, set
-// count) pair its own Stack and fan those out instead.
+// A Stack is not safe for concurrent use; sweeps give every view its
+// own Family of Stacks and fan those out instead.
 type Stack struct {
 	sets  uint64
 	depth int
@@ -52,29 +45,13 @@ type Stack struct {
 	// ever trail the valid entries of a set.
 	slab []uint64
 
-	// hist[d] counts accesses whose line was found at stack depth d;
+	// hist[d] counts accesses whose line was found at stack depth d ≥ 1;
 	// hist[depth] counts accesses not found within depth (cold or
-	// too-deep reuse — a miss for every tracked associativity).
+	// too-deep reuse — a miss for every tracked associativity). hist[0]
+	// stays zero: depth-0 hits are the accesses no deeper bucket counts
+	// (see Hist), so an access found on top of its set writes nothing.
 	hist     []uint64
 	accesses uint64
-
-	// compress gates the per-block set-grouping path; set by New from
-	// the slab size, overridable in tests.
-	compress bool
-
-	// Grouping scratch, reused across blocks: next chains records of
-	// the same set in stream order; tab/tabGen is an epoch-stamped
-	// open-addressing map from set to group index.
-	next   []int32
-	groups []group
-	tab    []int32
-	tabGen []uint32
-	gen    uint32
-}
-
-type group struct {
-	set        uint64
-	head, tail int32
 }
 
 // New returns a Stack over the given set count, tracking reuse to the
@@ -86,7 +63,7 @@ func New(sets, depth int) *Stack {
 	if depth < 1 {
 		panic(fmt.Sprintf("stackdist: depth %d", depth))
 	}
-	s := &Stack{
+	return &Stack{
 		sets:  uint64(sets),
 		depth: depth,
 		pow2:  sets&(sets-1) == 0,
@@ -94,8 +71,6 @@ func New(sets, depth int) *Stack {
 		slab:  make([]uint64, sets*depth),
 		hist:  make([]uint64, depth+1),
 	}
-	s.compress = len(s.slab)*8 >= compressBytes
-	return s
 }
 
 // Sets returns the set count. Depth returns the tracked stack depth.
@@ -113,20 +88,20 @@ func (s *Stack) setOf(line uint64) uint64 {
 // repeats (the packed merged-run convention: repeats are depth-0 hits
 // by construction, matching cache.AccessBlock's run retirement).
 func (s *Stack) Access(line, run uint64) {
-	depth := uint64(s.depth)
-	base := s.setOf(line) * depth
-	s.access(s.slab[base:base+depth], line, run)
+	s.accesses += run + 1
+	s.access(line)
 }
 
-// access replays one record against a single set's stack st.
-func (s *Stack) access(st []uint64, line, run uint64) {
+// access moves line to the top of its set's stack, records its reuse
+// depth, and reports whether it was already on top (a depth-0 hit).
+func (s *Stack) access(line uint64) bool {
+	depth := uint64(s.depth)
+	base := s.setOf(line) * depth
+	st := s.slab[base : base+depth]
 	tag := line + 1
-	s.accesses += run + 1
 	if st[0] == tag {
-		s.hist[0] += run + 1
-		return
+		return true
 	}
-	s.hist[0] += run
 	prev := st[0]
 	st[0] = tag
 	d := s.depth
@@ -143,85 +118,7 @@ func (s *Stack) access(st []uint64, line, run uint64) {
 		prev = cur
 	}
 	s.hist[d]++
-}
-
-// AccessBlock replays one block's packed records. For large slabs the
-// records are first grouped by set (order within a set preserved) —
-// per-set LRU state depends only on that set's subsequence and the
-// histogram is a commutative sum, so the totals are identical to the
-// in-order replay for every input.
-func (s *Stack) AccessBlock(recs []cache.Rec) {
-	if len(recs) == 0 {
-		return
-	}
-	if s.compress && len(recs) > 1 {
-		s.accessGrouped(recs)
-		return
-	}
-	depth := uint64(s.depth)
-	for _, rec := range recs {
-		line := cache.RecLine(rec)
-		base := s.setOf(line) * depth
-		s.access(s.slab[base:base+depth], line, cache.RecRun(rec))
-	}
-}
-
-// accessGrouped is the compressed large-slab path: chain the block's
-// records per set, then drain set by set so each per-set stack is
-// loaded once per block instead of once per record, with same-line
-// repeats inside the block folding through the MRU fast path.
-func (s *Stack) accessGrouped(recs []cache.Rec) {
-	need := 1
-	for need < 2*len(recs) {
-		need <<= 1
-	}
-	if len(s.tab) < need {
-		s.tab = make([]int32, need)
-		s.tabGen = make([]uint32, need)
-	}
-	s.gen++
-	if s.gen == 0 { // epoch counter wrapped: reset the stamps once
-		for i := range s.tabGen {
-			s.tabGen[i] = 0
-		}
-		s.gen = 1
-	}
-	gen := s.gen
-	mask := uint32(len(s.tab) - 1)
-	if cap(s.next) < len(recs) {
-		s.next = make([]int32, len(recs))
-	}
-	next := s.next[:len(recs)]
-	s.groups = s.groups[:0]
-	for i, rec := range recs {
-		next[i] = -1
-		set := s.setOf(cache.RecLine(rec))
-		h := uint32((set*0x9E3779B97F4A7C15)>>32) & mask
-		for {
-			if s.tabGen[h] != gen {
-				s.tabGen[h] = gen
-				s.tab[h] = int32(len(s.groups))
-				s.groups = append(s.groups, group{set: set, head: int32(i), tail: int32(i)})
-				break
-			}
-			if g := &s.groups[s.tab[h]]; g.set == set {
-				next[g.tail] = int32(i)
-				g.tail = int32(i)
-				break
-			}
-			h = (h + 1) & mask
-		}
-	}
-	depth := uint64(s.depth)
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		base := g.set * depth
-		st := s.slab[base : base+depth]
-		for idx := g.head; idx >= 0; idx = next[idx] {
-			rec := recs[idx]
-			s.access(st, cache.RecLine(rec), cache.RecRun(rec))
-		}
-	}
+	return false
 }
 
 // Accesses returns the total accesses recorded (merged runs included).
@@ -255,5 +152,87 @@ func (s *Stack) MissRatio(ways int) float64 {
 // accesses hitting at depth d for d < Depth(); Hist()[Depth()] counts
 // accesses not found within the tracked depth.
 func (s *Stack) Hist() []uint64 {
-	return append([]uint64(nil), s.hist...)
+	h := append([]uint64(nil), s.hist...)
+	h[0] = s.accesses - s.Misses(1)
+	return h
+}
+
+// Family replays one access stream into a Stack per set count, pruned
+// by set refinement (Hill & Smith, "Evaluating Associativity in CPU
+// Caches", IEEE TC 1989). A set is line mod S, so when S divides S′
+// the lines sharing a set at S′ also share one at S, and a line's LRU
+// stack depth at S′ is never larger than at S. A record already on top
+// of its set at S is therefore on top at S′ too, where its access would
+// change no state and count only as a depth-0 hit — which Stack derives
+// from the access total. Each set count replays only the records its
+// parent, the largest other set count dividing it, did not find on
+// top; set counts without a divisor in the family replay every record.
+// The histograms equal those of independent Stacks for any set counts
+// and depths.
+type Family struct {
+	stacks []*Stack // ascending set count: every parent precedes its children
+	parent []int    // index into stacks, or -1
+
+	// missed[k] holds this block's records that stacks[k] did not find
+	// on top, in stream order: its children's input. Reused across
+	// blocks.
+	missed [][]cache.Rec
+}
+
+// NewFamily returns a Family with one Stack per key of depths, each
+// tracking reuse to its value.
+func NewFamily(depths map[int]int) *Family {
+	sets := make([]int, 0, len(depths))
+	for n := range depths {
+		sets = append(sets, n)
+	}
+	sort.Ints(sets)
+	f := &Family{parent: make([]int, len(sets)), missed: make([][]cache.Rec, len(sets))}
+	for k, n := range sets {
+		f.stacks = append(f.stacks, New(n, depths[n]))
+		f.parent[k] = -1
+		for p := k - 1; p >= 0; p-- {
+			if n%sets[p] == 0 {
+				f.parent[k] = p
+				break
+			}
+		}
+	}
+	return f
+}
+
+// Stacks returns the family's Stacks in ascending set-count order.
+func (f *Family) Stacks() []*Stack { return f.stacks }
+
+// Stack returns the Stack over the given set count, or nil when the
+// family does not track it.
+func (f *Family) Stack(sets int) *Stack {
+	k := sort.Search(len(f.stacks), func(k int) bool { return f.stacks[k].Sets() >= sets })
+	if k == len(f.stacks) || f.stacks[k].Sets() != sets {
+		return nil
+	}
+	return f.stacks[k]
+}
+
+// AccessBlock replays one block's packed records into every Stack,
+// coarsest set count first.
+func (f *Family) AccessBlock(recs []cache.Rec) {
+	var n uint64
+	for _, rec := range recs {
+		n += cache.RecRun(rec) + 1
+	}
+	for k, s := range f.stacks {
+		s.accesses += n
+		in := recs
+		if p := f.parent[k]; p >= 0 {
+			in = f.missed[p]
+		}
+		out := f.missed[k][:0]
+		for _, rec := range in {
+			if !s.access(cache.RecLine(rec)) {
+				out = append(out, rec)
+			}
+		}
+		f.missed[k] = out
+	}
 }

@@ -1,6 +1,7 @@
 package stackdist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,6 +28,14 @@ func synthStream(r *rand.Rand, n, lineSpan int) []cache.Rec {
 		}
 	}
 	return recs
+}
+
+// AccessBlock replays recs into s alone, one record at a time and
+// unpruned: the reference a Family's Stacks are checked against.
+func (s *Stack) AccessBlock(recs []cache.Rec) {
+	for _, rec := range recs {
+		s.Access(cache.RecLine(rec), cache.RecRun(rec))
+	}
 }
 
 // replayCache counts (accesses, misses) of a concrete ways-associative
@@ -69,40 +78,6 @@ func TestStackMatchesCache(t *testing.T) {
 				if got := s.MissRatio(ways); got != wantRatio {
 					t.Errorf("sets=%d ways=%d: ratio %v, cache %v", sets, ways, got, wantRatio)
 				}
-			}
-		}
-	}
-}
-
-// TestGroupedMatchesInOrder forces both AccessBlock paths over the
-// same streams and requires identical histograms: set grouping must be
-// invisible in the totals, whatever the block size (including tiny
-// tails and single-record blocks).
-func TestGroupedMatchesInOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	stream := synthStream(r, 20000, 1<<16)
-	for _, sets := range []int{64, 1000, 8192} {
-		plain := New(sets, 16)
-		plain.compress = false
-		grouped := New(sets, 16)
-		grouped.compress = true
-		for _, blockLen := range []int{1, 3, 117, 4096} {
-			for off := 0; off < len(stream); off += blockLen {
-				end := off + blockLen
-				if end > len(stream) {
-					end = len(stream)
-				}
-				plain.AccessBlock(stream[off:end])
-				grouped.AccessBlock(stream[off:end])
-			}
-		}
-		if plain.Accesses() != grouped.Accesses() {
-			t.Fatalf("sets=%d: accesses %d vs %d", sets, plain.Accesses(), grouped.Accesses())
-		}
-		ph, gh := plain.Hist(), grouped.Hist()
-		for d := range ph {
-			if ph[d] != gh[d] {
-				t.Errorf("sets=%d: hist[%d] %d vs %d", sets, d, ph[d], gh[d])
 			}
 		}
 	}
@@ -153,23 +128,107 @@ func TestHistogramShape(t *testing.T) {
 	}
 }
 
-// TestAccessMatchesAccessBlock pins the serial entry point to the
-// block path.
+// TestAccessMatchesAccessBlock pins the pruned block path to the
+// serial entry point. A Family over a divisibility chain (48 → 96 →
+// 192 → 576), a set count dividing a member it is not the parent of
+// (32 | 96), one dividing none (7) and mixed depths is fed in blocks of
+// several sizes; every histogram must equal an unpruned Stack's.
 func TestAccessMatchesAccessBlock(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	stream := synthStream(r, 5000, 1<<12)
-	a, b := New(96, 8), New(96, 8)
-	for _, rec := range stream {
-		a.Access(cache.RecLine(rec), cache.RecRun(rec))
+	stream := synthStream(r, 20000, 1<<12)
+	depths := map[int]int{7: 2, 32: 1, 48: 8, 96: 4, 192: 8, 576: 16}
+	fam := NewFamily(depths)
+	for off, i := 0, 0; off < len(stream); i++ {
+		end := min(off+[]int{1, 3, 117, 4096}[i%4], len(stream))
+		fam.AccessBlock(stream[off:end])
+		off = end
 	}
-	b.AccessBlock(stream)
-	if a.Accesses() != b.Accesses() {
-		t.Fatalf("accesses %d vs %d", a.Accesses(), b.Accesses())
+	for sets, depth := range depths {
+		ref := New(sets, depth)
+		ref.AccessBlock(stream)
+		checkSame(t, fmt.Sprintf("sets=%d", sets), fam.Stack(sets), ref)
 	}
-	ah, bh := a.Hist(), b.Hist()
-	for d := range ah {
-		if ah[d] != bh[d] {
-			t.Errorf("hist[%d]: %d vs %d", d, ah[d], bh[d])
+}
+
+// checkSame fails t unless got and want recorded the same accesses
+// and histogram.
+func checkSame(t *testing.T, what string, got, want *Stack) {
+	t.Helper()
+	if got.Accesses() != want.Accesses() {
+		t.Fatalf("%s: accesses %d, want %d", what, got.Accesses(), want.Accesses())
+	}
+	gh, wh := got.Hist(), want.Hist()
+	for d := range wh {
+		if gh[d] != wh[d] {
+			t.Errorf("%s: hist[%d] %d, want %d", what, d, gh[d], wh[d])
 		}
 	}
+}
+
+// fuzzMults are the multiples of a base set count a fuzzed family can
+// track: ×2 and ×3 chains (1 → 2 → 4 → 8 → 16, 1 → 3 → 6 → 12 → 24)
+// whose members also sit beside non-dividing siblings (3 and 4, 8 and
+// 12, 16 and 24).
+var fuzzMults = []int{1, 2, 3, 4, 6, 8, 12, 16, 24}
+
+// fuzzHeader is the number of leading bytes FuzzFamily reads as the
+// family shape and block length before the record stream.
+const fuzzHeader = 9
+
+// FuzzFamily decodes bytes into a set-count family and a packed record
+// stream with runs and writes, replays the stream through the pruned
+// Family, and requires every set count's histogram to equal an
+// independent unpruned Stack's and every Misses(W) to equal what a
+// concrete cache.Cache of that set count and W ways counts.
+//
+// Header: byte 0 picks the base set count (1–64); bytes 1–2 are a mask
+// over fuzzMults of the multiples tracked; bytes 3–7 hold each
+// multiple's depth (1–8) in a nibble; byte 8 is the block length in
+// records (1–64). Each following byte pair (a, b) is one access: line
+// a | (b>>4)<<8, a write when b&4 is set, merged into the previous
+// record's run when b&3 is 0 and the line repeats.
+func FuzzFamily(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < fuzzHeader {
+			return
+		}
+		base := 1 + int(data[0]%64)
+		mask := int(data[1]) | int(data[2])<<8
+		depths := map[int]int{}
+		for k, m := range fuzzMults {
+			if mask&(1<<k) != 0 || (mask == 0 && k == 0) {
+				depths[base*m] = max(depths[base*m], 1+int(data[3+k/2]>>(4*(k%2)))%8)
+			}
+		}
+		blockLen := 1 + int(data[8]%64)
+
+		var recs []cache.Rec
+		for p := fuzzHeader; p+1 < len(data); p += 2 {
+			a, b := data[p], data[p+1]
+			line := uint64(a) | uint64(b>>4)<<8
+			write := b&4 != 0
+			if b&3 == 0 && len(recs) > 0 && cache.TryMerge(&recs[len(recs)-1], line, write) {
+				continue
+			}
+			recs = append(recs, cache.PackRec(line, write))
+		}
+
+		fam := NewFamily(depths)
+		for off := 0; off < len(recs); off += blockLen {
+			fam.AccessBlock(recs[off:min(off+blockLen, len(recs))])
+		}
+		for sets, depth := range depths {
+			got := fam.Stack(sets)
+			ref := New(sets, depth)
+			ref.AccessBlock(recs)
+			checkSame(t, fmt.Sprintf("sets=%d", sets), got, ref)
+			for ways := 1; ways <= depth; ways++ {
+				wantA, wantM := replayCache(sets, ways, [][]cache.Rec{recs})
+				if got.Accesses() != wantA || got.Misses(ways) != wantM {
+					t.Fatalf("sets=%d ways=%d: %d misses of %d accesses, cache %d of %d",
+						sets, ways, got.Misses(ways), got.Accesses(), wantM, wantA)
+				}
+			}
+		}
+	})
 }
