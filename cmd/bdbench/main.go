@@ -52,14 +52,8 @@ func main() {
 	gcSpec := flag.String("gc", "", `after the run, LRU-sweep the -cache-dir down to this bound: a size, an age, or both ("4GB", "168h", "4GB,168h")`)
 	shardSpec := flag.String("shard", "", "run only slice i of n of the set, as i/n (0-based)")
 	block := flag.Int("block", 0, "trace-replay block size in instructions (0 = default); output is byte-identical for every size")
-	engineFlag := flag.String("engine", "", "miss-ratio sweep engine: stackdist or replay (uniform across the repro CLIs; characterization rows run the full machine model and are identical under either)")
 	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,datagen=96MB")`)
 	flag.Parse()
-
-	if _, err := experiments.ParseSweepEngine(*engineFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "bdbench:", err)
-		os.Exit(2)
-	}
 
 	var list []workloads.Workload
 	switch *set {

@@ -67,7 +67,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "run only shard i of n visible items, as i/n (0-based); cooperating shards share a store and merge byte-identically")
 	stats := flag.Bool("stats", false, "print artifact-store and recomputation probes to stderr")
 	block := flag.Int("block", 0, "trace-replay block size in instructions (0 = default); output is byte-identical for every size")
-	engineFlag := flag.String("engine", "", "miss-ratio sweep engine: stackdist (single-pass, default) or replay (concrete-cache oracle); output is byte-identical for both")
 	scenarioFile := flag.String("scenario", "", `run one ad-hoc scenario spec (JSON file, "-" for stdin) instead of paper items; the rendered bytes go to stdout`)
 	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,scenario-render=64MB")`)
 	flag.Parse()
@@ -98,13 +97,7 @@ func main() {
 		fatal(err)
 	}
 
-	engine, err := experiments.ParseSweepEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	sess := experiments.NewSession(opt)
-	sess.Engine = engine
 	sess.Parallelism = *parallel
 	sess.BlockSize = *block
 	if *cacheDir != "" || *storeURL != "" {
@@ -231,9 +224,8 @@ func main() {
 
 func printStats(sess *experiments.Session) {
 	ss := sess.ArtifactStore().Stats()
-	fmt.Fprintf(os.Stderr, "repro: trace passes: %d (stackdist %d, replay %d); profile runs: %d; dataset generations: %d; unit renders: %d\n",
-		sess.TracePasses(), sess.StackDistPasses(), sess.ReplayPasses(),
-		sess.ProfileRuns(), datagen.Generations(), sess.Renders())
+	fmt.Fprintf(os.Stderr, "repro: trace passes: %d; profile runs: %d; dataset generations: %d; unit renders: %d\n",
+		sess.TracePasses(), sess.ProfileRuns(), datagen.Generations(), sess.Renders())
 	fmt.Fprintf(os.Stderr, "repro: store: %d fills, %d memory hits, %d backend hits, %d backend discards, %d prefetched\n",
 		ss.Fills, ss.MemHits, ss.BackendHits, ss.BackendDiscards, ss.Prefetched)
 }

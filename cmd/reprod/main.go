@@ -42,7 +42,6 @@
 // Usage:
 //
 //	reprod [-addr :9555] [-quick] [-parallel N] [-workers N] [-block N]
-//	       [-engine stackdist|replay]
 //	       [-cache-dir DIR] [-store-url URL] [-store-token T]
 //	       [-self URL] [-peers URL,URL,...]
 //	       [-peer-fail-limit N] [-peer-cooldown D] [-fault-spec SPEC]
@@ -76,7 +75,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "bound workers inside each computation (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "bound concurrently executing computations (0 = GOMAXPROCS)")
 	block := flag.Int("block", 0, "trace-replay block size (0 = default); output is byte-identical for every size")
-	engineFlag := flag.String("engine", "", "miss-ratio sweep engine: stackdist (single-pass, default) or replay (concrete-cache oracle); served bytes are identical for both")
 	cacheDir := flag.String("cache-dir", "", "persist artifacts under this directory and warm-start from it")
 	storeURL := flag.String("store-url", "", "share artifacts through the artifactd server at this URL")
 	storeToken := flag.String("store-token", "", "bearer token for a -token'd artifactd server (default $REPRO_STORE_TOKEN)")
@@ -103,13 +101,8 @@ func main() {
 		opt = experiments.Quick()
 	}
 
-	engine, err := experiments.ParseSweepEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-
 	cfg := serve.Config{
-		Opt: opt, Engine: engine, Parallelism: *parallel, BlockSize: *block, Workers: *workers,
+		Opt: opt, Parallelism: *parallel, BlockSize: *block, Workers: *workers,
 		Self: *self, PeerFailLimit: *peerFailLimit, PeerCooldown: *peerCooldown,
 		EventBuffer: *eventBuffer,
 	}

@@ -1,17 +1,29 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
+	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
 
+// oracleCurves fills one geometry's curves through the concrete-cache
+// reference: one machine.NewSweepSpec pass over the workload's trace,
+// delivered in blocks as a session delivers it.
+func oracleCurves(t *testing.T, w workloads.Workload, budget int64, sizes []int, ways, line int) machine.Curves {
+	t.Helper()
+	sw, err := machine.NewSweepSpec(sizes, ways, line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads.RunBlock(w, sw, budget, 0)
+	return sw.Curves()
+}
+
 // TestSweepEnginesByteIdentical is the session-level differential: the
-// stack-distance default and the replay oracle must fill bit-identical
-// curves for every geometry, and each must report its passes on its
-// own counter.
+// session's stack-distance curves must equal the concrete-cache
+// oracle's bit for bit at every geometry, costing one trace pass each.
 func TestSweepEnginesByteIdentical(t *testing.T) {
 	opt := tinyOptions()
 	w := workloads.Representative17()[14] // H-WordCount
@@ -24,24 +36,16 @@ func TestSweepEnginesByteIdentical(t *testing.T) {
 		{[]int{16, 64, 256}, 16, 0},
 		{[]int{16, 32}, 2, 128},
 	}
-	sd := NewSession(opt) // default engine
-	rp := NewSession(opt)
-	rp.Engine = EngineReplay
+	s := NewSession(opt)
 	for _, c := range cases {
-		got := sd.SweepCurvesSpec(w, opt.SweepBudget, c.sizes, c.ways, c.line)
-		want := rp.SweepCurvesSpec(w, opt.SweepBudget, c.sizes, c.ways, c.line)
+		got := s.SweepCurvesSpec(w, opt.SweepBudget, c.sizes, c.ways, c.line)
+		want := oracleCurves(t, w, opt.SweepBudget, c.sizes, c.ways, c.line)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ways=%d line=%d: engines disagree\nstackdist %+v\nreplay    %+v", c.ways, c.line, got, want)
+			t.Errorf("ways=%d line=%d: session diverges from the cache oracle\nsession %+v\noracle  %+v", c.ways, c.line, got, want)
 		}
 	}
-	if sd.StackDistPasses() != int64(len(cases)) || sd.ReplayPasses() != 0 {
-		t.Errorf("stackdist session counters: stack=%d replay=%d", sd.StackDistPasses(), sd.ReplayPasses())
-	}
-	if rp.ReplayPasses() != int64(len(cases)) || rp.StackDistPasses() != 0 {
-		t.Errorf("replay session counters: stack=%d replay=%d", rp.StackDistPasses(), rp.ReplayPasses())
-	}
-	if sd.TracePasses() != sd.StackDistPasses() || rp.TracePasses() != rp.ReplayPasses() {
-		t.Error("TracePasses is not the per-engine sum")
+	if s.TracePasses() != int64(len(cases)) {
+		t.Errorf("session ran %d trace passes, want %d", s.TracePasses(), len(cases))
 	}
 }
 
@@ -49,7 +53,7 @@ func TestSweepEnginesByteIdentical(t *testing.T) {
 // cold associativities fill from exactly one trace pass, each under
 // the same key a single-geometry request would use (so follow-up
 // single requests are pure store hits), and each bit-identical to the
-// replay oracle.
+// concrete-cache oracle.
 func TestSweepCurvesMultiOnePass(t *testing.T) {
 	opt := tinyOptions()
 	w := workloads.Representative17()[4] // S-WordCount
@@ -61,11 +65,9 @@ func TestSweepCurvesMultiOnePass(t *testing.T) {
 	if got := s.TracePasses(); got != 1 {
 		t.Fatalf("multi-geometry fill cost %d trace passes, want 1", got)
 	}
-	rp := NewSession(opt)
-	rp.Engine = EngineReplay
 	for i, ways := range waysList {
-		if want := rp.SweepCurvesSpec(w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(multi[i], want) {
-			t.Errorf("ways=%d: multi curves diverge from replay oracle", ways)
+		if want := oracleCurves(t, w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(multi[i], want) {
+			t.Errorf("ways=%d: multi curves diverge from the cache oracle", ways)
 		}
 		// Same keys: the single-geometry accessor must hit warm.
 		if got := s.SweepCurvesSpec(w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(got, multi[i]) {
@@ -123,43 +125,20 @@ func TestScenarioWaysSetCanonical(t *testing.T) {
 	}
 }
 
-// TestScenarioWaysSetOnePassByteIdentical runs a multi-associativity
-// scenario under both engines: the served bytes must match exactly,
-// and the stack-distance engine must price the whole geometry set at
-// one trace pass per workload while the oracle pays one per geometry.
+// TestScenarioWaysSetOnePassByteIdentical runs the golden
+// multi-associativity scenario at Quick(): its bytes must hash to the
+// committed digest, and the whole geometry set must cost one trace
+// pass per workload.
 func TestScenarioWaysSetOnePassByteIdentical(t *testing.T) {
-	opt := tinyOptions()
-	spec := Scenario{
-		Name:      "multigeo",
-		Workloads: []string{"H-Grep"},
-		SizesKB:   []int{16, 64, 256},
-		WaysSet:   []int{1, 2, 8, 16},
-		Views:     []string{"inst", "data"},
-	}
-
-	sd := NewSession(opt)
-	got, err := RunScenario(sd, spec)
+	s := NewSession(Quick())
+	got, err := RunScenario(s, goldenScenarios["multigeo"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sd.TracePasses() != 1 || sd.StackDistPasses() != 1 {
-		t.Errorf("stackdist scenario cost %d passes (stack %d), want 1",
-			sd.TracePasses(), sd.StackDistPasses())
+	if s.TracePasses() != 1 {
+		t.Errorf("multigeo scenario cost %d trace passes, want 1", s.TracePasses())
 	}
-
-	rp := NewSession(opt)
-	rp.Engine = EngineReplay
-	want, err := RunScenario(rp, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.ReplayPasses() != 4 {
-		t.Errorf("replay scenario cost %d replay passes, want 4 (one per geometry)", rp.ReplayPasses())
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("scenario bytes differ between engines:\nstackdist:\n%s\nreplay:\n%s", got, want)
-	}
-	if !bytes.Contains(got, []byte("16-way")) || !bytes.Contains(got, []byte("1-way")) {
-		t.Error("rendered scenario missing per-geometry headings")
+	if sum, want := sha256Hex(got), goldenDigests(t)["scenario/multigeo"]; sum != want {
+		t.Fatalf("multigeo scenario digest %s, golden %s:\n%s", sum, want, got)
 	}
 }

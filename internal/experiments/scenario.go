@@ -227,23 +227,15 @@ func (sc Scenario) Canonical(opt Options) (Scenario, error) {
 	if out.LineBytes == machine.DefaultSweepLineBytes {
 		out.LineBytes = 0
 	}
+	// Check the geometry arithmetically, before any session work: the
+	// whole (size, ways) grid must divide into sets, and its
+	// stack-distance state must fit machine.MaxSweepWords.
+	var geoms []machine.SweepGeometry
 	for _, w := range out.waysList() {
-		if _, err := machine.NewSweepSpec(out.SizesKB[:1], w, out.LineBytes); err != nil {
-			return Scenario{}, err
-		}
-		for _, kb := range out.SizesKB {
-			ways, line := w, out.LineBytes
-			if ways == 0 {
-				ways = machine.DefaultSweepWays
-			}
-			if line == 0 {
-				line = machine.DefaultSweepLineBytes
-			}
-			if (kb<<10)%(ways*line) != 0 {
-				return Scenario{}, fmt.Errorf("experiments: scenario size %d KB not divisible into %d-way sets of %d-byte lines",
-					kb, ways, line)
-			}
-		}
+		geoms = append(geoms, machine.SweepGeometry{SizesKB: out.SizesKB, Ways: w})
+	}
+	if err := machine.CheckSweep(out.LineBytes, geoms...); err != nil {
+		return Scenario{}, err
 	}
 
 	if len(sc.Views) == 0 {
@@ -324,9 +316,8 @@ func (sc Scenario) run(s *Session) ([]SweepResult, error) {
 	}
 
 	// Every geometry of every set fills through SweepCurvesMulti, so a
-	// multi-associativity scenario costs one trace pass per workload
-	// under the stack-distance engine — later views and geometries
-	// read the per-workload artefacts warm.
+	// multi-associativity scenario costs one trace pass per workload —
+	// later views and geometries read the per-workload artefacts warm.
 	waysAll := sc.waysList()
 	var out []SweepResult
 	for _, vname := range sc.Views {

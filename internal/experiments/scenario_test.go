@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +65,14 @@ func TestScenarioValidation(t *testing.T) {
 		{Groups: []string{"mpi"}, LineBytes: 48},                // line not a power of two
 		{Groups: []string{"mpi"}, Views: []string{"imaginary"}}, // unknown view
 		{Groups: []string{"mpi"}, Budget: 1 << 40},              // absurd budget
+		// Geometries whose sweep would exhaust memory or overflow the
+		// set arithmetic: each used to crash the serving daemon.
+		{Workloads: []string{"H-Grep"}, SizesKB: []int{1 << 30}},            // 1 TB: 2^34 lines
+		{Workloads: []string{"H-Grep"}, SizesKB: []int{16, 1 << 30}},        // a later size over the cap
+		{Workloads: []string{"H-Grep"}, Ways: 1 << 58},                      // ways*line wraps to 0
+		{Workloads: []string{"H-Grep"}, LineBytes: 1 << 62},                 // ways*line wraps to 0
+		{Workloads: []string{"H-Grep"}, SizesKB: []int{16, 1 << 54}},        // kb<<10 wraps to 0
+		{Workloads: []string{"H-Grep"}, LineBytes: 8, WaysSet: []int{1, 2}}, // every size fits; 3,143,680 words summed
 	}
 	for i, sc := range bad {
 		if _, err := sc.Canonical(opt); err == nil {
@@ -172,4 +182,41 @@ func TestScenarioGeometryOverridesChangeContent(t *testing.T) {
 	if bytes.Equal(ob, on) {
 		t.Fatal("2-way scenario rendered identical bytes to 8-way")
 	}
+}
+
+// FuzzScenarioCanonical feeds arbitrary JSON request bodies to
+// Canonical, as the serving daemon does: it must never panic, an
+// accepted spec must be a fixed point, and the spec's key must survive
+// a JSON round trip. The committed seeds include the golden scenarios
+// and geometries that once crashed the daemon.
+func FuzzScenarioCanonical(f *testing.F) {
+	opt := Quick()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec Scenario
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		canon, err := spec.Canonical(opt)
+		if err != nil {
+			return
+		}
+		again, err := canon.Canonical(opt)
+		if err != nil {
+			t.Fatalf("canonical form %+v rejected: %v", canon, err)
+		}
+		if !reflect.DeepEqual(again, canon) {
+			t.Fatalf("Canonical is not idempotent:\n%+v\n%+v", canon, again)
+		}
+		enc, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Scenario
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatal(err)
+		}
+		if ScenarioKey(back).ID() != ScenarioKey(canon).ID() {
+			t.Fatalf("key changed across a JSON round trip: %s", enc)
+		}
+	})
 }

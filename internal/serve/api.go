@@ -380,8 +380,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"jobs_submitted": st.JobsSubmitted, "jobs_done": st.JobsDone,
 		"jobs_failed": st.JobsFailed, "jobs_canceled": st.JobsCanceled,
 		"trace_passes": st.TracePasses, "profile_runs": st.ProfileRuns,
-		"sweep_stackdist_passes": st.StackDistPasses,
-		"sweep_replay_passes":    st.ReplayPasses,
+		"sweep_stackdist_passes": st.TracePasses,
 		"renders":                st.Renders,
 		"fleet_size":             st.FleetSize,
 		"fleet_proxied":          st.Proxied,
@@ -462,8 +461,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"reprod_jobs_failed_total", "Jobs finished with an error.", st.JobsFailed},
 		{"reprod_jobs_canceled_total", "Jobs cancelled (client or shutdown).", st.JobsCanceled},
 		{"reprod_trace_passes_total", "Sweep trace passes executed.", st.TracePasses},
-		{"reprod_sweep_stackdist_passes_total", "Trace passes run by the stack-distance sweep engine.", st.StackDistPasses},
-		{"reprod_sweep_replay_passes_total", "Trace passes run by the concrete-cache replay engine.", st.ReplayPasses},
+		{"reprod_sweep_stackdist_passes_total", "Trace passes run by the stack-distance sweep engine.", st.TracePasses},
 		{"reprod_profile_runs_total", "Profiling runs executed.", st.ProfileRuns},
 		{"reprod_renders_total", "Units rendered.", st.Renders},
 		{"reprod_store_fills_total", "Store computations executed.", ss.Fills},

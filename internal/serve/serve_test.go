@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -518,62 +521,100 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// TestEngineCountersAndMultiGeometryServing pins the escape hatch's
-// observability and cost model: a default (stack-distance) server
-// prices a four-associativity scenario at one trace pass, reported on
-// sweep_stackdist_passes; a -engine=replay server serves the same
-// bytes, pays one pass per geometry, and reports them on
-// sweep_replay_passes.
+// TestEngineCountersAndMultiGeometryServing pins the sweep cost model
+// and its observability: the golden four-associativity scenario,
+// served at Quick(), hashes to its committed digest and moves both
+// trace_passes and sweep_stackdist_passes by exactly one, and the
+// pass reaches /metrics.
 func TestEngineCountersAndMultiGeometryServing(t *testing.T) {
-	spec := `{"name": "multigeo", "workloads": ["H-Grep"], "sizes_kb": [16, 64, 256], "ways_set": [1, 2, 8, 16], "views": ["inst", "data"]}`
-	post := func(ts *httptest.Server) []byte {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("scenario: %d: %s", resp.StatusCode, b)
-		}
-		return b
-	}
-
-	sd, sdTS := startServer(t, Config{})
-	sdBytes := post(sdTS)
-	if st := sd.Stats(); st.TracePasses != 1 || st.StackDistPasses != 1 || st.ReplayPasses != 0 {
-		t.Fatalf("stackdist server passes: trace %d stackdist %d replay %d, want 1/1/0",
-			st.TracePasses, st.StackDistPasses, st.ReplayPasses)
-	}
-
-	rp, rpTS := startServer(t, Config{Engine: experiments.EngineReplay})
-	rpBytes := post(rpTS)
-	if st := rp.Stats(); st.ReplayPasses != 4 || st.StackDistPasses != 0 {
-		t.Fatalf("replay server passes: stackdist %d replay %d, want 0/4",
-			st.StackDistPasses, st.ReplayPasses)
-	}
-	if !bytes.Equal(sdBytes, rpBytes) {
-		t.Fatal("engines served different scenario bytes")
-	}
-
-	_, _, b := get(t, sdTS.URL+"/v1/stats")
-	var stats map[string]any
-	if err := json.Unmarshal(b, &stats); err != nil {
+	gb, err := os.ReadFile("../experiments/testdata/golden.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["sweep_stackdist_passes"] != float64(1) || stats["sweep_replay_passes"] != float64(0) {
-		t.Fatalf("stats JSON counters off: %v", stats)
+	var golden map[string]string
+	if err := json.Unmarshal(gb, &golden); err != nil {
+		t.Fatal(err)
 	}
-	_, _, mb := get(t, rpTS.URL+"/metrics")
+	srv, ts := startServer(t, Config{Opt: experiments.Quick()})
+	stats := func() map[string]any {
+		t.Helper()
+		_, _, b := get(t, ts.URL+"/v1/stats")
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	before := stats()
+	spec := `{"name": "multigeo", "workloads": ["H-Grep"], "sizes_kb": [16, 64, 256], "ways_set": [1, 2, 8, 16], "views": ["inst", "data"]}`
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scenario: %d: %s", resp.StatusCode, b)
+	}
+	sum := sha256.Sum256(b)
+	if got, want := hex.EncodeToString(sum[:]), golden["scenario/multigeo"]; got != want {
+		t.Fatalf("served multigeo digest %s, golden %s", got, want)
+	}
+
+	after := stats()
+	for _, k := range []string{"trace_passes", "sweep_stackdist_passes"} {
+		if d := after[k].(float64) - before[k].(float64); d != 1 {
+			t.Errorf("%s moved by %v, want 1", k, d)
+		}
+	}
+	if st := srv.Stats(); st.TracePasses != 1 {
+		t.Errorf("server trace passes %d, want 1", st.TracePasses)
+	}
+	_, _, mb := get(t, ts.URL+"/metrics")
 	for _, family := range []string{
 		"# TYPE reprod_sweep_stackdist_passes_total counter",
-		"reprod_sweep_replay_passes_total 4",
-		"reprod_sweep_stackdist_passes_total 0",
+		"reprod_sweep_stackdist_passes_total 1",
 	} {
 		if !strings.Contains(string(mb), family) {
 			t.Errorf("metrics missing %q", family)
 		}
+	}
+}
+
+// TestScenarioGeometryBombsRejected pins the untrusted-geometry guard:
+// sizes, associativities and line sizes whose sweep would exhaust
+// memory or overflow the set arithmetic are refused 400
+// invalid_scenario before any allocation, and the daemon keeps
+// serving.
+func TestScenarioGeometryBombsRejected(t *testing.T) {
+	srv, ts := startServer(t, Config{})
+	for _, body := range []string{
+		`{"workloads": ["H-Grep"], "sizes_kb": [1073741824]}`,
+		`{"workloads": ["H-Grep"], "sizes_kb": [16, 1073741824]}`,
+		`{"workloads": ["H-Grep"], "ways": 288230376151711744}`,
+		`{"workloads": ["H-Grep"], "line_bytes": 4611686018427387904}`,
+		`{"workloads": ["H-Grep"], "sizes_kb": [16, 18014398509481984]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", body, resp.StatusCode, b)
+			continue
+		}
+		if e := decodeErr(t, b); e.Code != "invalid_scenario" {
+			t.Errorf("%s: envelope %+v, want code invalid_scenario", body, e)
+		}
+	}
+	if code, _, hb := get(t, ts.URL+"/healthz"); code != http.StatusOK || string(hb) != "ok\n" {
+		t.Fatalf("healthz after rejected scenarios: %d %q", code, hb)
+	}
+	if st := srv.Stats(); st.Computes != 0 {
+		t.Errorf("rejected scenarios ran %d computations", st.Computes)
 	}
 }
 

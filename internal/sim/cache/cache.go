@@ -24,10 +24,12 @@ type Config struct {
 	Latency int
 }
 
-// Valid reports whether the config describes a usable cache.
+// Valid reports whether the config describes a usable cache: whole
+// lines dividing into whole sets. It forms no Ways*LineSize product,
+// which could wrap to zero.
 func (c Config) Valid() bool {
 	return c.Size > 0 && c.Ways > 0 && c.LineSize > 0 &&
-		c.Size%(c.Ways*c.LineSize) == 0
+		c.Size%c.LineSize == 0 && (c.Size/c.LineSize)%c.Ways == 0
 }
 
 // Cache is a single set-associative cache with true-LRU replacement.
@@ -75,7 +77,7 @@ func New(cfg Config) *Cache {
 	if !cfg.Valid() {
 		panic("cache: invalid geometry for " + cfg.Name)
 	}
-	sets := cfg.Size / (cfg.Ways * cfg.LineSize)
+	sets := cfg.Size / cfg.LineSize / cfg.Ways
 	shift := uint(0)
 	for 1<<shift < cfg.LineSize {
 		shift++

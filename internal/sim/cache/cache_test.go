@@ -138,6 +138,24 @@ func TestInvalidGeometryPanics(t *testing.T) {
 	New(Config{Name: "bad", Size: 1000, Ways: 3, LineSize: 64})
 }
 
+// TestValidNoOverflow pins that Valid forms no Ways*LineSize product:
+// geometries whose product wraps to zero are invalid, not a divide by
+// zero.
+func TestValidNoOverflow(t *testing.T) {
+	for _, c := range []Config{
+		{Size: 16 << 10, Ways: 1 << 58, LineSize: 64},
+		{Size: 16 << 10, Ways: 8, LineSize: 1 << 62},
+		{Size: 1 << 62, Ways: 1 << 2, LineSize: 1 << 61},
+	} {
+		if c.Valid() {
+			t.Errorf("%+v reported valid", c)
+		}
+	}
+	if !(Config{Size: 1 << 62, Ways: 2, LineSize: 1 << 61}).Valid() {
+		t.Error("one set of two 2^61-byte lines reported invalid")
+	}
+}
+
 func TestHierarchyLevels(t *testing.T) {
 	h := NewHierarchy(
 		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/sim/cache"
@@ -19,6 +21,85 @@ type SweepGeometry struct {
 	// default, as in NewSweepSpec).
 	SizesKB []int
 	Ways    int
+}
+
+// MaxSweepWords caps the stack-distance state of one sweep: the sum of
+// sets × depth over its distinct set counts, which is the number of
+// 8-byte words stackdist.NewFamily allocates for each of a pass's
+// three views. 2^21 words is 16 MB per view. The largest sweep the
+// repository runs (32-byte lines, ways 1-32 over the paper's ten
+// sizes: 15 set counts) needs 1,834,496.
+const MaxSweepWords = 1 << 21
+
+// CheckSweep validates geometries sharing one line size without
+// building anything, so untrusted requests can be checked before any
+// allocation: the line size must be a power of two >= 8, every ways
+// >= 1 (0 selects the default, for ways and line alike), every size
+// must divide into whole sets, and the stack-distance state must fit
+// MaxSweepWords. No sum or product it forms can overflow, and it
+// allocates only the error it returns.
+func CheckSweep(lineBytes int, geoms ...SweepGeometry) error {
+	if lineBytes == 0 {
+		lineBytes = DefaultSweepLineBytes
+	}
+	if lineBytes < 8 || lineBytes&(lineBytes-1) != 0 {
+		return fmt.Errorf("machine: sweep line size %d not a power of two >= 8", lineBytes)
+	}
+	for _, g := range geoms {
+		ways := g.ways()
+		if ways < 1 {
+			return fmt.Errorf("machine: sweep ways %d < 1", ways)
+		}
+		for _, kb := range g.SizesKB {
+			if kb <= 0 || kb > math.MaxInt>>10 {
+				return fmt.Errorf("machine: sweep size %d KB out of range", kb)
+			}
+			// Size%line == 0 && (Size/line)%ways == 0 is whole sets,
+			// without the ways*line product that can wrap.
+			if (kb<<10)%lineBytes != 0 || (kb<<10)/lineBytes%ways != 0 {
+				return fmt.Errorf("machine: sweep size %d KB not divisible into %d-way sets of %d-byte lines",
+					kb, ways, lineBytes)
+			}
+		}
+	}
+	// A set count's stack is as deep as its widest reader, so its state
+	// (sets × depth) is the largest line count among the sizes mapping
+	// to it. Each set count is summed once, at its first reader; the
+	// quadratic scan stays allocation-free and a scenario has at most
+	// a few hundred (size, ways) pairs. Stopping at the cap keeps the
+	// sum from overflowing.
+	words := 0
+	for g, a := range geoms {
+	next:
+		for j, kb := range a.SizesKB {
+			lines := (kb << 10) / lineBytes
+			sets := lines / a.ways()
+			for h, b := range geoms {
+				for k, kb2 := range b.SizesKB {
+					l2 := (kb2 << 10) / lineBytes
+					if l2/b.ways() != sets {
+						continue
+					}
+					if h < g || h == g && k < j {
+						continue next // summed at an earlier reader
+					}
+					lines = max(lines, l2)
+				}
+			}
+			if words += lines; words > MaxSweepWords {
+				return fmt.Errorf("machine: sweep needs over %d words of stack-distance state per view", MaxSweepWords)
+			}
+		}
+	}
+	return nil
+}
+
+// ways resolves the default associativity.
+func (g SweepGeometry) ways() int {
+	if g.Ways == 0 {
+		return DefaultSweepWays
+	}
+	return g.Ways
 }
 
 // StackSweep is the single-pass sweep engine: instead of replaying the
@@ -63,45 +144,29 @@ type StackSweep struct {
 
 // NewStackSweep builds a single-pass sweep over any number of
 // geometries sharing one line size. Ways and lineBytes of 0 select the
-// paper defaults; validation matches NewSweepSpec exactly (invalid
-// line sizes and non-dividing capacities are rejected, never rounded).
+// paper defaults; CheckSweep validates them, as it does for
+// NewSweepSpec (invalid line sizes and non-dividing capacities are
+// rejected, never rounded).
 func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 	if len(geoms) == 0 {
 		return nil, fmt.Errorf("machine: stack sweep with no geometries")
 	}
+	if err := CheckSweep(lineBytes, geoms...); err != nil {
+		return nil, err
+	}
 	if lineBytes == 0 {
 		lineBytes = DefaultSweepLineBytes
 	}
-	if lineBytes < 8 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("machine: sweep line size %d not a power of two >= 8", lineBytes)
-	}
-	shift := uint(0)
-	for 1<<shift < lineBytes {
-		shift++
-	}
-	s := &StackSweep{
-		lineBytes:    lineBytes,
-		blockDecoder: blockDecoder{lineShift: shift},
-	}
+	s := &StackSweep{lineBytes: lineBytes, blockDecoder: blockDecoder{lineShift: uint(bits.TrailingZeros(uint(lineBytes)))}}
 	depths := map[int]int{}
 	for _, g := range geoms {
-		if g.Ways == 0 {
-			g.Ways = DefaultSweepWays
-		}
-		if g.Ways < 1 {
-			return nil, fmt.Errorf("machine: sweep ways %d < 1", g.Ways)
-		}
+		g.Ways = g.ways()
 		for _, kb := range g.SizesKB {
-			cfg := cache.Config{Name: "sweep", Size: kb << 10, Ways: g.Ways, LineSize: lineBytes, Latency: 1}
-			if !cfg.Valid() {
-				return nil, fmt.Errorf("machine: sweep size %d KB not divisible into %d-way sets of %d-byte lines",
-					kb, g.Ways, lineBytes)
-			}
 			// Stacks only track as deep as the deepest reader of this
 			// set count: a set count serving only a 1-way geometry keeps
 			// a depth-1 stack (one compare per access), which is what
 			// keeps many-geometry passes near-flat.
-			sets := (kb << 10) / (g.Ways * lineBytes)
+			sets := (kb << 10) / lineBytes / g.Ways
 			depths[sets] = max(depths[sets], g.Ways)
 		}
 		s.geoms = append(s.geoms, g)
@@ -180,7 +245,7 @@ func (s *StackSweep) Curves(g int) Curves {
 		Unified: make([]float64, len(geom.SizesKB)),
 	}
 	for j, kb := range geom.SizesKB {
-		sets := (kb << 10) / (geom.Ways * s.lineBytes)
+		sets := (kb << 10) / s.lineBytes / geom.Ways
 		out.Unified[j] = s.views[0].Stack(sets).MissRatio(geom.Ways)
 		out.Inst[j] = s.views[1].Stack(sets).MissRatio(geom.Ways)
 		out.Data[j] = s.views[2].Stack(sets).MissRatio(geom.Ways)

@@ -159,11 +159,16 @@ func TestStackSweepRejectsBadGeometry(t *testing.T) {
 		sizes      []int
 		ways, line int
 	}{
-		{[]int{16}, 0, 48},   // line not a power of two
-		{[]int{16}, 0, 4},    // line too small
-		{[]int{16}, -1, 0},   // negative ways
-		{[]int{16}, 3, 0},    // 16 KB not divisible into 3-way 64B sets
-		{[]int{16}, 0, 8192}, // 16 KB smaller than one 8-way 8 KB-line set
+		{[]int{16}, 0, 48},         // line not a power of two
+		{[]int{16}, 0, 4},          // line too small
+		{[]int{16}, -1, 0},         // negative ways
+		{[]int{16}, 3, 0},          // 16 KB not divisible into 3-way 64B sets
+		{[]int{16}, 0, 8192},       // 16 KB smaller than one 8-way 8 KB-line set
+		{[]int{16}, 1 << 58, 0},    // ways*line wraps to 0
+		{[]int{16}, 0, 1 << 62},    // ways*line wraps to 0
+		{[]int{16, 1 << 54}, 0, 0}, // kb<<10 wraps to 0
+		{[]int{16, 1 << 30}, 0, 0}, // 2^34 lines: over the sweep cap
+		{[]int{-16}, 0, 0},         // non-positive size
 	}
 	for _, c := range cases {
 		if _, err := NewStackSweep(c.line, SweepGeometry{SizesKB: c.sizes, Ways: c.ways}); err == nil {
@@ -190,6 +195,54 @@ func TestStackSweepCancelDrainsBlocks(t *testing.T) {
 	for _, st := range ss.views[1].Stacks() {
 		if st.Accesses() != 0 {
 			t.Fatalf("cancelled stack sweep still accounted %d accesses", st.Accesses())
+		}
+	}
+}
+
+// TestCheckSweepBoundsFamilyState pins CheckSweep's cap to what a
+// sweep really allocates: over the paper's sizes at each line size and
+// ways set, CheckSweep accepts exactly when the Families hold at most
+// MaxSweepWords of Σ sets × depth, and accepting allocates nothing.
+// The largest sweep the repository runs (32-byte lines, ways 1-32:
+// 1,834,496 words) must pass.
+func TestCheckSweepBoundsFamilyState(t *testing.T) {
+	for _, c := range []struct {
+		line  int
+		ways  []int
+		words int
+	}{
+		{32, []int{1, 2, 4, 8, 16, 32}, 1_834_496},
+		{8, []int{8}, 2_095_104},
+		{16, []int{2, 4, 8}, 2_096_128},
+		{8, []int{1, 2}, 3_143_680}, // every size fits; the sum does not
+		{16, []int{1, 2, 4, 8, 16, 32}, 3_668_992},
+	} {
+		var geoms []SweepGeometry
+		for _, w := range c.ways {
+			geoms = append(geoms, SweepGeometry{SizesKB: DefaultSweepSizesKB, Ways: w})
+		}
+		err := CheckSweep(c.line, geoms...)
+		if (err == nil) != (c.words <= MaxSweepWords) {
+			t.Errorf("line %d ways %v (%d words): CheckSweep error %v", c.line, c.ways, c.words, err)
+		}
+		if err != nil {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = CheckSweep(c.line, geoms...) }); n != 0 {
+			t.Errorf("line %d ways %v: CheckSweep allocated %v times", c.line, c.ways, n)
+		}
+		ss, err := NewStackSweep(c.line, geoms...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, f := range ss.views {
+			got := 0
+			for _, st := range f.Stacks() {
+				got += st.Sets() * st.Depth()
+			}
+			if got != c.words {
+				t.Errorf("line %d ways %v: view %d holds %d words, want %d", c.line, c.ways, v, got, c.words)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -142,36 +142,24 @@ func NewSweep(sizesKB []int) *Sweep {
 	return s
 }
 
-// NewSweepSpec is NewSweep with the cache geometry overridable —
-// the serving layer's ad-hoc scenarios sweep non-paper associativities
-// and line sizes through it. ways and lineBytes of 0 select the
-// defaults (8 ways, 64-byte lines); a non-power-of-two line size, or
-// any size that does not divide into whole sets, is rejected rather
-// than silently rounded.
+// NewSweepSpec is NewSweep with the cache geometry overridable — the
+// concrete-cache reference the stack-distance engine is tested
+// against at non-paper associativities and line sizes. ways and
+// lineBytes of 0 select the defaults (8 ways, 64-byte lines);
+// CheckSweep rejects, never rounds, a geometry it cannot build.
 func NewSweepSpec(sizesKB []int, ways, lineBytes int) (*Sweep, error) {
+	if err := CheckSweep(lineBytes, SweepGeometry{SizesKB: sizesKB, Ways: ways}); err != nil {
+		return nil, err
+	}
 	if ways == 0 {
 		ways = DefaultSweepWays
 	}
 	if lineBytes == 0 {
 		lineBytes = DefaultSweepLineBytes
 	}
-	if ways < 1 {
-		return nil, fmt.Errorf("machine: sweep ways %d < 1", ways)
-	}
-	if lineBytes < 8 || lineBytes&(lineBytes-1) != 0 {
-		return nil, fmt.Errorf("machine: sweep line size %d not a power of two >= 8", lineBytes)
-	}
-	shift := uint(0)
-	for 1<<shift < lineBytes {
-		shift++
-	}
-	s := &Sweep{SizesKB: sizesKB, blockDecoder: blockDecoder{lineShift: shift}}
+	s := &Sweep{SizesKB: sizesKB, blockDecoder: blockDecoder{lineShift: uint(bits.TrailingZeros(uint(lineBytes)))}}
 	for _, kb := range sizesKB {
 		cfg := cache.Config{Size: kb << 10, Ways: ways, LineSize: lineBytes, Latency: 1}
-		if !cfg.Valid() {
-			return nil, fmt.Errorf("machine: sweep size %d KB not divisible into %d-way sets of %d-byte lines",
-				kb, ways, lineBytes)
-		}
 		cfg.Name = "sweepI"
 		s.icaches = append(s.icaches, cache.New(cfg))
 		cfg.Name = "sweepD"

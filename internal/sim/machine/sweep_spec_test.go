@@ -62,11 +62,16 @@ func TestNewSweepSpecRejectsBadGeometry(t *testing.T) {
 		sizes      []int
 		ways, line int
 	}{
-		{[]int{16}, 0, 48},   // line not a power of two
-		{[]int{16}, 0, 4},    // line too small
-		{[]int{16}, -1, 0},   // negative ways
-		{[]int{16}, 3, 0},    // 16 KB not divisible into 3-way 64B sets
-		{[]int{16}, 0, 8192}, // 16 KB smaller than one 8-way 8 KB-line set
+		{[]int{16}, 0, 48},         // line not a power of two
+		{[]int{16}, 0, 4},          // line too small
+		{[]int{16}, -1, 0},         // negative ways
+		{[]int{16}, 3, 0},          // 16 KB not divisible into 3-way 64B sets
+		{[]int{16}, 0, 8192},       // 16 KB smaller than one 8-way 8 KB-line set
+		{[]int{16}, 1 << 58, 0},    // ways*line wraps to 0
+		{[]int{16}, 0, 1 << 62},    // ways*line wraps to 0
+		{[]int{16, 1 << 54}, 0, 0}, // kb<<10 wraps to 0
+		{[]int{16, 1 << 30}, 0, 0}, // 2^34 lines: over the sweep cap
+		{[]int{-16}, 0, 0},         // non-positive size
 	}
 	for _, c := range cases {
 		if _, err := NewSweepSpec(c.sizes, c.ways, c.line); err == nil {

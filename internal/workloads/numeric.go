@@ -152,7 +152,7 @@ func (k *PageRank) Run(c *Ctx) {
 				s := e.FPTo(old, isa.FPArith, old, contrib)
 				storeFPIdx(e, g.NextBase, t, 8, s)
 				next[t] += share
-				// PageRank-on-a-data-flow-engine emits one (target,
+				// PageRank on a data-flow engine emits one (target,
 				// contribution) pair per edge into the shuffle.
 				rt.EmitKV(12)
 				e.Loop(edgeTop, ei+1 < g.Off[v+1], tgt)
