@@ -452,8 +452,8 @@ func BenchmarkServeWarmUnit(b *testing.B) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	if st := srv.Stats(); st.Computes != 1 {
-		b.Fatalf("warm serving recomputed: %+v", st)
+	if n := srv.Metrics().Int("computes"); n != 1 {
+		b.Fatalf("warm serving computed %d times, want 1", n)
 	}
 }
 
@@ -519,8 +519,8 @@ func BenchmarkStoreHTTP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	st := srv.Stats()
-	b.ReportMetric(float64(st.PutBytes+st.ServedBytes)/float64(b.N), "wire-bytes/op")
+	st := srv.Metrics()
+	b.ReportMetric(float64(st.Int("put_bytes")+st.Int("served_bytes"))/float64(b.N), "wire-bytes/op")
 }
 
 // BenchmarkRenderWarm measures the fully warm repro path the render

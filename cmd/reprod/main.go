@@ -10,8 +10,7 @@
 // Endpoints (see internal/serve): GET /v1/units/{unit},
 // POST /v1/scenarios, POST /v1/jobs + GET /v1/jobs (paginated) +
 // GET /v1/jobs/{id} + DELETE /v1/jobs/{id} for async batches,
-// GET /v1/stats, GET /metrics (Prometheus text), GET /healthz. Legacy
-// unversioned paths 308-redirect to their /v1 home.
+// GET /v1/stats, GET /metrics (Prometheus text), GET /healthz.
 //
 // -cache-dir persists every artefact locally; -store-url shares them
 // through a cmd/artifactd server (cold starts issue one bulk closure

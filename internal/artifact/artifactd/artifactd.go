@@ -50,6 +50,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/artifact"
+	"repro/internal/telemetry"
 )
 
 // maxEntryBytes caps an entry's size on the wire, raw or expanded
@@ -104,37 +105,22 @@ func New(dir string) (*Server, error) {
 // Dir returns the served entry directory.
 func (s *Server) Dir() string { return s.backend.Dir() }
 
-// Stats is a snapshot of the server's counters — the "did the warm
-// pass recompute anything" probe CI reads from /stats (a warm pass
-// adds no puts).
-type Stats struct {
-	// Gets counts artefact lookups; Hits and Misses partition them.
-	Gets, Hits, Misses int64
-	// Puts counts accepted publishes; Rejects counts uploads refused
-	// because the entry's identity did not hash to its id.
-	Puts, Rejects int64
-	// Discards counts stored entries that failed verification on read.
-	Discards int64
-	// PutBytes and ServedBytes total the entry payloads moved, as wire
-	// bytes (after any transport compression).
-	PutBytes, ServedBytes int64
-	// Unauthorized counts artifact requests refused for a missing or
-	// wrong bearer token.
-	Unauthorized int64
-	// ClosureRequests counts bulk closure downloads (POST /closure);
-	// ClosureServed totals the entries they returned. One closure
-	// request replaces ClosureServed per-key GETs for a cold peer.
-	ClosureRequests, ClosureServed int64
-}
-
-// Stats returns the current counter snapshot.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Gets: s.gets.Load(), Hits: s.hits.Load(), Misses: s.misses.Load(),
-		Puts: s.puts.Load(), Rejects: s.rejects.Load(), Discards: s.discards.Load(),
-		PutBytes: s.putBytes.Load(), ServedBytes: s.servedBytes.Load(),
-		Unauthorized:    s.unauthorized.Load(),
-		ClosureRequests: s.closureReqs.Load(), ClosureServed: s.closureServed.Load(),
+// Metrics snapshots the server's counters: the one declaration behind
+// both GET /stats and GET /metrics. CI reads puts from /stats to prove a
+// warm pass recomputed nothing (it adds no puts).
+func (s *Server) Metrics() telemetry.List {
+	return telemetry.List{
+		telemetry.Counter("gets", "artifactd_gets_total", "Artifact lookups received (GET and HEAD).", s.gets.Load()),
+		telemetry.Counter("hits", "artifactd_hits_total", "Lookups answered with an entry.", s.hits.Load()),
+		telemetry.Counter("misses", "artifactd_misses_total", "Lookups answered 404.", s.misses.Load()),
+		telemetry.Counter("puts", "artifactd_puts_total", "Entry publishes accepted.", s.puts.Load()),
+		telemetry.Counter("rejects", "artifactd_rejects_total", "Uploads refused by identity verification.", s.rejects.Load()),
+		telemetry.Counter("discards", "artifactd_discards_total", "Stored entries that failed verification on read.", s.discards.Load()),
+		telemetry.Counter("put_bytes", "artifactd_put_bytes_total", "Wire bytes received in accepted publishes.", s.putBytes.Load()),
+		telemetry.Counter("served_bytes", "artifactd_served_bytes_total", "Wire bytes sent serving entries.", s.servedBytes.Load()),
+		telemetry.Counter("unauthorized", "artifactd_unauthorized_total", "Artifact requests refused for a bad bearer token.", s.unauthorized.Load()),
+		telemetry.Counter("closure_requests", "artifactd_closure_requests_total", "Bulk closure downloads served.", s.closureReqs.Load()),
+		telemetry.Counter("closure_served", "artifactd_closure_served_total", "Entries returned by closure downloads.", s.closureServed.Load()),
 	}
 }
 
@@ -143,50 +129,12 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/artifact/", s.handleArtifact)
 	mux.HandleFunc("/closure", s.handleClosure)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/stats", telemetry.JSONHandler(s.Metrics))
+	mux.HandleFunc("/metrics", telemetry.PrometheusHandler(s.Metrics))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
 	return mux
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int64{
-		"gets": st.Gets, "hits": st.Hits, "misses": st.Misses,
-		"puts": st.Puts, "rejects": st.Rejects, "discards": st.Discards,
-		"put_bytes": st.PutBytes, "served_bytes": st.ServedBytes,
-		"unauthorized":     st.Unauthorized,
-		"closure_requests": st.ClosureRequests, "closure_served": st.ClosureServed,
-	})
-}
-
-// handleMetrics exposes the counters in the Prometheus text exposition
-// format (version 0.0.4), one counter family per Stats field, so a
-// scraper can watch hit rates and wire volume without bespoke glue.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, m := range []struct {
-		name, help string
-		value      int64
-	}{
-		{"artifactd_gets_total", "Artifact lookups received (GET and HEAD).", st.Gets},
-		{"artifactd_hits_total", "Lookups answered with an entry.", st.Hits},
-		{"artifactd_misses_total", "Lookups answered 404.", st.Misses},
-		{"artifactd_puts_total", "Entry publishes accepted.", st.Puts},
-		{"artifactd_rejects_total", "Uploads refused by identity verification.", st.Rejects},
-		{"artifactd_discards_total", "Stored entries that failed verification on read.", st.Discards},
-		{"artifactd_put_bytes_total", "Wire bytes received in accepted publishes.", st.PutBytes},
-		{"artifactd_served_bytes_total", "Wire bytes sent serving entries.", st.ServedBytes},
-		{"artifactd_unauthorized_total", "Artifact requests refused for a bad bearer token.", st.Unauthorized},
-		{"artifactd_closure_requests_total", "Bulk closure downloads served.", st.ClosureRequests},
-		{"artifactd_closure_served_total", "Entries returned by closure downloads.", st.ClosureServed},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.value)
-	}
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {

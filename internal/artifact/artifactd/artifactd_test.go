@@ -84,7 +84,7 @@ func TestPutGetHead(t *testing.T) {
 	if missing.StatusCode != http.StatusNotFound {
 		t.Fatalf("HEAD of a missing id returned %d, want 404", missing.StatusCode)
 	}
-	if st := srv.Stats(); st.Puts != 1 || st.Hits != 2 || st.Misses != 1 {
+	if st := srv.Metrics(); st.Int("puts") != 1 || st.Int("hits") != 2 || st.Int("misses") != 1 {
 		t.Fatalf("stats %+v, want 1 put / 2 hits / 1 miss", st)
 	}
 }
@@ -127,7 +127,7 @@ func TestPutGarbageRejected(t *testing.T) {
 	if resp := put(t, url, stale); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("stale-version PUT status %d, want 400", resp.StatusCode)
 	}
-	if st := srv.Stats(); st.Rejects != 2 || st.Puts != 0 {
+	if st := srv.Metrics(); st.Int("rejects") != 2 || st.Int("puts") != 0 {
 		t.Fatalf("stats %+v, want 2 rejects / 0 puts", st)
 	}
 }
@@ -231,8 +231,8 @@ func TestBearerTokenAuth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz behind auth: status %d", resp.StatusCode)
 	}
-	if st := srv.Stats(); st.Unauthorized != 4 {
-		t.Fatalf("unauthorized count %d, want 4", st.Unauthorized)
+	if st := srv.Metrics(); st.Int("unauthorized") != 4 {
+		t.Fatalf("unauthorized count %d, want 4", st.Int("unauthorized"))
 	}
 }
 
@@ -259,8 +259,8 @@ func TestGzipWire(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("gzip PUT status %d, want 204", resp.StatusCode)
 	}
-	if st := srv.Stats(); st.PutBytes != int64(buf.Len()) {
-		t.Fatalf("PutBytes %d, want compressed size %d", st.PutBytes, buf.Len())
+	if st := srv.Metrics(); st.Int("put_bytes") != int64(buf.Len()) {
+		t.Fatalf("PutBytes %d, want compressed size %d", st.Int("put_bytes"), buf.Len())
 	}
 
 	// Plain GET returns the raw entry (stored form is uncompressed).
@@ -400,8 +400,8 @@ func TestClosureServesVerifiedEntriesInRequestOrder(t *testing.T) {
 	if len(entries) != 2 || entries[0].ID != ids[2] || entries[1].ID != ids[0] {
 		t.Fatalf("closure entries: %+v", entries)
 	}
-	st := srv.Stats()
-	if st.ClosureRequests != 1 || st.ClosureServed != 2 || st.Discards != 1 {
+	st := srv.Metrics()
+	if st.Int("closure_requests") != 1 || st.Int("closure_served") != 2 || st.Int("discards") != 1 {
 		t.Fatalf("closure stats: %+v", st)
 	}
 }

@@ -119,17 +119,61 @@ func sameSurface(t *testing.T, what string, got, want []string) {
 	}
 }
 
+// busyServer starts a server and drives every kind of request through
+// it: a publish, a hit, a miss, a refused upload and a closure.
+func busyServer(t *testing.T) (*Server, string) {
+	t.Helper()
+	srv, ts := start(t)
+	key := artifact.KeyOf("surface", 1)
+	put(t, ts.URL+"/artifact/"+key.ID(), encodedEntry(t, key, []byte("x")))
+	put(t, ts.URL+"/artifact/"+key.ID(), []byte("not an entry"))
+	fetch(t, ts.URL+"/artifact/"+key.ID())
+	if resp, err := http.Head(ts.URL + "/artifact/surface-0123456789abcdef"); err == nil {
+		resp.Body.Close()
+	}
+	postClosure(t, ts.URL, []string{key.ID()}, nil)
+	return srv, ts.URL
+}
+
 // TestMetricSurface pins artifactd's observability wire surface: every
 // /stats key with its JSON kind, and every /metrics family with its
 // type and label names.
 func TestMetricSurface(t *testing.T) {
-	_, ts := start(t)
-	key := artifact.KeyOf("surface", 1)
-	put(t, ts.URL+"/artifact/"+key.ID(), encodedEntry(t, key, []byte("x")))
-	postClosure(t, ts.URL, []string{key.ID()}, nil)
+	_, base := busyServer(t)
+	sameSurface(t, "/stats", jsonSurface(t, fetch(t, base+"/stats")), statsSurface)
+	sameSurface(t, "/metrics", promSurface(t, string(fetch(t, base+"/metrics"))), metricsSurface)
+}
 
-	sameSurface(t, "/stats", jsonSurface(t, fetch(t, ts.URL+"/stats")), statsSurface)
-	sameSurface(t, "/metrics", promSurface(t, string(fetch(t, ts.URL+"/metrics"))), metricsSurface)
+// TestStatsMatchMetrics checks that the two endpoints agree: every
+// /stats value equals the /metrics sample its declaration names.
+func TestStatsMatchMetrics(t *testing.T) {
+	srv, base := busyServer(t)
+	var stats map[string]float64
+	if err := json.Unmarshal(fetch(t, base+"/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(fetch(t, base+"/metrics")), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			samples[name] = f
+		}
+	}
+	ms := srv.Metrics()
+	if len(ms) != len(stats) {
+		t.Errorf("%d declared metrics, /stats has %d keys", len(ms), len(stats))
+	}
+	for _, m := range ms {
+		if got, ok := samples[m.Name]; !ok || got != stats[m.Key] {
+			t.Errorf("/stats %s = %v, /metrics %s = %v (present %v)", m.Key, stats[m.Key], m.Name, got, ok)
+		}
+	}
+	if stats["puts"] != 1 || stats["rejects"] != 1 || stats["hits"] != 1 || stats["misses"] != 1 {
+		t.Errorf("traffic not counted: %v", stats)
+	}
 }
 
 // fetch GETs url and returns its body, failing t on anything but 200.

@@ -69,7 +69,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if st := b.Stats(); st.Fills != 0 || st.BackendHits != 1 {
 		t.Fatalf("warm store stats %+v, want 0 fills / 1 backend hit", st)
 	}
-	if st := srv.Stats(); st.Puts != 1 || st.Hits != 1 {
+	if st := srv.Metrics(); st.Int("puts") != 1 || st.Int("hits") != 1 {
 		t.Fatalf("server stats %+v, want 1 put / 1 hit", st)
 	}
 }
@@ -94,7 +94,7 @@ func TestHTTPCorruptEntryFallsBack(t *testing.T) {
 	if err != nil || v != 5 {
 		t.Fatalf("corrupted entry not recomputed: %d, %v", v, err)
 	}
-	if st := srv.Stats(); st.Discards != 1 {
+	if st := srv.Metrics(); st.Int("discards") != 1 {
 		t.Fatalf("server stats %+v, want 1 discard", st)
 	}
 
@@ -132,7 +132,7 @@ func TestHTTPMislabelledEntryDiscarded(t *testing.T) {
 	if err != nil || v != 1 {
 		t.Fatalf("mislabelled entry was trusted: %d, %v", v, err)
 	}
-	if st := srv.Stats(); st.Discards == 0 {
+	if st := srv.Metrics(); st.Int("discards") == 0 {
 		t.Fatalf("server stats %+v, want a discard", st)
 	}
 }
@@ -157,7 +157,7 @@ func TestHTTPRejectsMislabelledUpload(t *testing.T) {
 	}
 	// Two rejects: the gzip attempt plus the client's raw retry (a
 	// 400 is indistinguishable from a pre-gzip server's rejection).
-	if st := srv.Stats(); st.Rejects != 2 || st.Puts != 0 {
+	if st := srv.Metrics(); st.Int("rejects") != 2 || st.Int("puts") != 0 {
 		t.Fatalf("server stats %+v, want 2 rejects / 0 puts", st)
 	}
 	if _, err := os.Stat(filepath.Join(srv.Dir(), victim.ID()+".gob")); !os.IsNotExist(err) {
@@ -209,7 +209,7 @@ func TestChainPromotesRemoteHits(t *testing.T) {
 	}
 
 	// A fresh chained store now hits disk without touching the server.
-	gets := srv.Stats().Gets
+	gets := srv.Metrics().Int("gets")
 	again, err := OpenStore(localDir, ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestChainPromotesRemoteHits(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Stats().Gets; got != gets {
+	if got := srv.Metrics().Int("gets"); got != gets {
 		t.Fatalf("local hit still queried the server (%d -> %d gets)", gets, got)
 	}
 }
@@ -244,7 +244,7 @@ func TestChainPutWritesAllTiers(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(srv.Dir(), key.ID()+".gob")); err != nil {
 		t.Fatal("fill missing from the server")
 	}
-	if st := srv.Stats(); st.Puts != 1 {
+	if st := srv.Metrics(); st.Int("puts") != 1 {
 		t.Fatalf("server stats %+v, want 1 put", st)
 	}
 }
@@ -279,7 +279,7 @@ func TestClientTokenAuth(t *testing.T) {
 	if cs := tokenless.Stats(); cs.Puts != 0 || cs.Errors == 0 {
 		t.Fatalf("tokenless client stats %+v: want zero puts, some errors", cs)
 	}
-	if ss := srv.Stats(); ss.Puts != 0 {
+	if ss := srv.Metrics(); ss.Int("puts") != 0 {
 		t.Fatal("tokenless client published through auth")
 	}
 
@@ -289,8 +289,8 @@ func TestClientTokenAuth(t *testing.T) {
 		func() (blob, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if ss := srv.Stats(); ss.Puts != 1 {
-		t.Fatalf("server puts %d, want 1", ss.Puts)
+	if ss := srv.Metrics(); ss.Int("puts") != 1 {
+		t.Fatalf("server puts %d, want 1", ss.Int("puts"))
 	}
 
 	reader := client(t, ts.URL)
@@ -332,9 +332,9 @@ func TestGzipRoundTripShrinksWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	entrySize := dirEntrySize(t, srv.Dir())
-	ss := srv.Stats()
-	if ss.PutBytes >= entrySize/2 {
-		t.Fatalf("gzip PUT moved %d wire bytes for a %d-byte entry", ss.PutBytes, entrySize)
+	ss := srv.Metrics()
+	if ss.Int("put_bytes") >= entrySize/2 {
+		t.Fatalf("gzip PUT moved %d wire bytes for a %d-byte entry", ss.Int("put_bytes"), entrySize)
 	}
 
 	reader := client(t, ts.URL)
@@ -345,9 +345,9 @@ func TestGzipRoundTripShrinksWire(t *testing.T) {
 	if err != nil || len(got.Words) != 2000 || got.Words[1999] != "repetitive-token" {
 		t.Fatalf("gzip GET round trip failed: %v", err)
 	}
-	ss = srv.Stats()
-	if ss.ServedBytes >= entrySize/2 {
-		t.Fatalf("gzip GET moved %d wire bytes for a %d-byte entry", ss.ServedBytes, entrySize)
+	ss = srv.Metrics()
+	if ss.Int("served_bytes") >= entrySize/2 {
+		t.Fatalf("gzip GET moved %d wire bytes for a %d-byte entry", ss.Int("served_bytes"), entrySize)
 	}
 }
 
@@ -385,8 +385,8 @@ func TestOpenStoreToken(t *testing.T) {
 	if _, err := artifact.Get(authed, key, func() (int, error) { return 42, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if ss := srv.Stats(); ss.Puts != 1 {
-		t.Fatalf("authed OpenStore did not publish (puts %d)", ss.Puts)
+	if ss := srv.Metrics(); ss.Int("puts") != 1 {
+		t.Fatalf("authed OpenStore did not publish (puts %d)", ss.Int("puts"))
 	}
 }
 
@@ -422,7 +422,7 @@ func TestPutRawRetryAgainstPreGzipServer(t *testing.T) {
 	if st := c.Stats(); st.Puts != 1 || st.Errors != 0 {
 		t.Fatalf("client stats %+v, want the raw retry to succeed", st)
 	}
-	if st := srv.Stats(); st.Puts != 1 {
+	if st := srv.Metrics(); st.Int("puts") != 1 {
 		t.Fatalf("server stats %+v, want the entry stored", st)
 	}
 }
@@ -469,8 +469,8 @@ func TestFetchAllBulkClosure(t *testing.T) {
 	if cs.BulkGets != 1 || cs.BulkEntries != 10 {
 		t.Fatalf("bulk stats: %+v", cs)
 	}
-	ss := srv.Stats()
-	if ss.ClosureRequests != 1 || ss.ClosureServed != 10 {
+	ss := srv.Metrics()
+	if ss.Int("closure_requests") != 1 || ss.Int("closure_served") != 10 {
 		t.Fatalf("server closure stats: %+v", ss)
 	}
 }

@@ -113,8 +113,8 @@ func TestPutRetriesTransportFaults(t *testing.T) {
 	if st := c2.Stats(); st.Puts != 1 || st.Errors != 0 {
 		t.Fatalf("stats %+v, want clean put", st)
 	}
-	if ss := srv.Stats(); ss.Puts != 1 {
-		t.Fatalf("server puts=%d, want 1", ss.Puts)
+	if ss := srv.Metrics(); ss.Int("puts") != 1 {
+		t.Fatalf("server puts=%d, want 1", ss.Int("puts"))
 	}
 }
 

@@ -141,7 +141,7 @@ goals:
 	// computed warm-prime 1 + cold 2 + adhoc 4 = 7 times.
 	var computes int64
 	for _, s := range servers {
-		computes += s.Stats().Computes
+		computes += s.Metrics().Int("computes")
 	}
 	if computes != 7 {
 		t.Fatalf("fleet computed %d times total, want 7", computes)

@@ -7,20 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/artifact"
-	"repro/internal/datagen"
 	"repro/internal/experiments"
+	"repro/internal/telemetry"
 )
 
-// The v1 HTTP surface. Every resource lives under /v1; legacy
-// unversioned paths 308-redirect to their v1 home (308 preserves the
-// method and body, so redirect-following clients keep working through
-// POST /scenarios and POST /jobs).
+// The v1 HTTP surface. Every resource lives under /v1.
 //
 //	GET    /v1/units/{unit}   one paper unit, rendered text (fig6, table2, ...)
 //	POST   /v1/scenarios      ad-hoc scenario spec (JSON body) → rendered text
@@ -82,8 +77,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/v1/events", s.handleEvents)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/stats", telemetry.JSONHandler(s.Metrics))
+	mux.HandleFunc("/metrics", telemetry.PrometheusHandler(s.Metrics))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
@@ -100,20 +95,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		io.WriteString(w, reason+"\n")
 	})
-	for _, p := range []string{"/units/", "/scenarios", "/jobs", "/jobs/", "/stats"} {
-		mux.HandleFunc(p, redirectV1)
-	}
 	return mux
-}
-
-// redirectV1 sends a legacy unversioned path to its /v1 home with a
-// 308: permanent, method- and body-preserving.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }
 
 // respond writes rendered bytes with provenance headers — the id the
@@ -366,163 +348,5 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "jobs are polled with GET and cancelled with DELETE", "")
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	ss := s.store.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	out := map[string]any{
-		"unit_requests": st.UnitRequests, "scenario_requests": st.ScenarioRequests,
-		"warm_hits": st.WarmHits, "coalesced": st.Coalesced, "computes": st.Computes,
-		"abandoned": st.Abandoned, "in_flight": st.InFlight,
-		"jobs_submitted": st.JobsSubmitted, "jobs_done": st.JobsDone,
-		"jobs_failed": st.JobsFailed, "jobs_canceled": st.JobsCanceled,
-		"trace_passes": st.TracePasses, "profile_runs": st.ProfileRuns,
-		"sweep_stackdist_passes": st.TracePasses,
-		"renders":                st.Renders,
-		"fleet_size":             st.FleetSize,
-		"fleet_proxied":          st.Proxied,
-		"fleet_proxy_fallback":   st.ProxyFallback,
-		"fleet_peer_served":      st.PeerServed,
-		"fleet_loop_guarded":     st.LoopGuarded,
-		"fleet_rerouted":         st.Rerouted,
-		"fleet_proxy_retries":    st.ProxyRetries,
-		"fleet_peer_unhealthy":   st.PeerUnhealthy,
-		"breaker_trips":          st.BreakerTrips,
-		"breaker_probes":         st.BreakerProbes,
-		"breaker_recoveries":     st.BreakerRecoveries,
-		"store_degraded":         boolGauge(st.StoreDegraded),
-		"store_retries":          st.StoreRetries,
-		"store_skipped":          st.StoreSkipped,
-		"events_published":       st.EventsPublished,
-		"events_dropped":         st.EventsDropped,
-		"subscribers":            st.EventSubscribers,
-		"dataset_generations":    datagen.Generations(),
-		"store_fills":            ss.Fills, "store_mem_hits": ss.MemHits,
-		"store_backend_hits": ss.BackendHits, "store_backend_discards": ss.BackendDiscards,
-		"store_prefetched":       ss.Prefetched,
-		"store_evictions":        ss.Evictions,
-		"store_evicted_bytes":    ss.EvictedBytes,
-		"store_resident_bytes":   ss.ResidentBytes,
-		"store_resident_entries": ss.ResidentEntries,
-		"store_mem_hit_ratio":    ss.MemHitRatio(),
-		"goroutines":             int64(runtime.NumGoroutine()),
-	}
-	if len(ss.KindResident) > 0 {
-		out["store_kind_resident_bytes"] = ss.KindResident
-	}
-	if len(ss.KindEvictions) > 0 {
-		out["store_kind_evictions"] = ss.KindEvictions
-	}
-	if len(st.PeerStates) > 0 {
-		out["peer_states"] = st.PeerStates
-	}
-	json.NewEncoder(w).Encode(out)
-}
-
-// boolGauge maps a condition onto the 0/1 convention shared by the
-// JSON stats and the Prometheus gauge.
-func boolGauge(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// handleMetrics exposes the counters in the Prometheus text exposition
-// format, matching artifactd's conventions (one counter family per
-// field, reprod_ prefix).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	ss := s.store.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counters := []struct {
-		name, help string
-		value      int64
-	}{
-		{"reprod_unit_requests_total", "Paper-unit requests received.", st.UnitRequests},
-		{"reprod_scenario_requests_total", "Scenario requests received.", st.ScenarioRequests},
-		{"reprod_warm_hits_total", "Requests answered straight from the store.", st.WarmHits},
-		{"reprod_coalesced_total", "Requests that joined an in-flight computation.", st.Coalesced},
-		{"reprod_computes_total", "Computations actually executed.", st.Computes},
-		{"reprod_abandoned_total", "Requests whose clients left before the answer.", st.Abandoned},
-		{"reprod_fleet_proxied_total", "Cold requests forwarded to their home replica.", st.Proxied},
-		{"reprod_fleet_proxy_fallback_total", "Forwards failed over to local compute (owner unreachable).", st.ProxyFallback},
-		{"reprod_fleet_peer_served_total", "Requests received from a fleet peer.", st.PeerServed},
-		{"reprod_fleet_loop_guarded_total", "Peer-forwarded requests this replica would have routed elsewhere.", st.LoopGuarded},
-		{"reprod_fleet_rerouted_total", "Requests routed around a tripped peer breaker.", st.Rerouted},
-		{"reprod_breaker_trips_total", "Peer breakers tripped open (fail limit reached).", st.BreakerTrips},
-		{"reprod_breaker_probes_total", "Half-open probes sent to tripped peers.", st.BreakerProbes},
-		{"reprod_breaker_recoveries_total", "Peer breakers closed again by a successful probe.", st.BreakerRecoveries},
-		{"reprod_jobs_submitted_total", "Jobs accepted.", st.JobsSubmitted},
-		{"reprod_jobs_done_total", "Jobs finished successfully.", st.JobsDone},
-		{"reprod_jobs_failed_total", "Jobs finished with an error.", st.JobsFailed},
-		{"reprod_jobs_canceled_total", "Jobs cancelled (client or shutdown).", st.JobsCanceled},
-		{"reprod_trace_passes_total", "Sweep trace passes executed.", st.TracePasses},
-		{"reprod_sweep_stackdist_passes_total", "Trace passes run by the stack-distance sweep engine.", st.TracePasses},
-		{"reprod_profile_runs_total", "Profiling runs executed.", st.ProfileRuns},
-		{"reprod_renders_total", "Units rendered.", st.Renders},
-		{"reprod_store_fills_total", "Store computations executed.", ss.Fills},
-		{"reprod_store_backend_hits_total", "Fills satisfied by the persistence backend.", ss.BackendHits},
-		{"reprod_store_prefetched_total", "Entries staged by bulk prefetch.", ss.Prefetched},
-		{"reprod_store_evictions_total", "Memory-tier residents evicted under quota.", ss.Evictions},
-		{"reprod_store_evicted_bytes_total", "Charged bytes evicted by the memory tier.", ss.EvictedBytes},
-		{"reprod_events_published_total", "Events materialized on the event bus.", st.EventsPublished},
-		{"reprod_events_dropped_total", "Events shed from slow subscribers' rings.", st.EventsDropped},
-	}
-	for _, m := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.value)
-	}
-	// reprod_retries_total is labeled by component: the store's HTTP
-	// backend and the fleet proxy retry independently.
-	fmt.Fprintf(w, "# HELP reprod_retries_total Extra attempts beyond each operation's first.\n# TYPE reprod_retries_total counter\n")
-	fmt.Fprintf(w, "reprod_retries_total{component=\"store\"} %d\n", st.StoreRetries)
-	fmt.Fprintf(w, "reprod_retries_total{component=\"proxy\"} %d\n", st.ProxyRetries)
-	fmt.Fprintf(w, "# HELP reprod_in_flight Computations currently in flight.\n# TYPE reprod_in_flight gauge\nreprod_in_flight %d\n", st.InFlight)
-	fmt.Fprintf(w, "# HELP reprod_event_subscribers Event-bus subscribers currently attached.\n# TYPE reprod_event_subscribers gauge\nreprod_event_subscribers %d\n", st.EventSubscribers)
-	fmt.Fprintf(w, "# HELP reprod_peer_unhealthy Fleet peers currently sidelined (breaker not closed).\n# TYPE reprod_peer_unhealthy gauge\nreprod_peer_unhealthy %d\n", st.PeerUnhealthy)
-	fmt.Fprintf(w, "# HELP reprod_store_degraded Whether the persistence backend is degraded (1 = serving memory hits and computing locally).\n# TYPE reprod_store_degraded gauge\nreprod_store_degraded %d\n", boolGauge(st.StoreDegraded))
-	if len(st.PeerStates) > 0 {
-		peers := make([]string, 0, len(st.PeerStates))
-		for p := range st.PeerStates {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		fmt.Fprintf(w, "# HELP reprod_breaker_state Peer breaker state (0 closed, 1 half-open, 2 open).\n# TYPE reprod_breaker_state gauge\n")
-		for _, p := range peers {
-			var v int
-			switch st.PeerStates[p] {
-			case "half-open":
-				v = 1
-			case "open":
-				v = 2
-			}
-			fmt.Fprintf(w, "reprod_breaker_state{peer=%q} %d\n", p, v)
-		}
-	}
-	fmt.Fprintf(w, "# HELP reprod_fleet_size Fleet membership size (0 = fleet mode off).\n# TYPE reprod_fleet_size gauge\nreprod_fleet_size %d\n", st.FleetSize)
-	fmt.Fprintf(w, "# HELP reprod_store_resident_bytes Charged bytes resident in the store's memory tier.\n# TYPE reprod_store_resident_bytes gauge\nreprod_store_resident_bytes %d\n", ss.ResidentBytes)
-	fmt.Fprintf(w, "# HELP reprod_store_resident_entries Residents (entries + staged prefetches) in the memory tier.\n# TYPE reprod_store_resident_entries gauge\nreprod_store_resident_entries %d\n", ss.ResidentEntries)
-	fmt.Fprintf(w, "# HELP reprod_store_mem_hit_ratio Fraction of store lookups answered by a resident entry.\n# TYPE reprod_store_mem_hit_ratio gauge\nreprod_store_mem_hit_ratio %g\n", ss.MemHitRatio())
-	writeKindFamily(w, "reprod_store_kind_resident_bytes", "Resident memory-tier bytes by artefact kind.", "gauge", ss.KindResident)
-	writeKindFamily(w, "reprod_store_kind_evictions_total", "Memory-tier evictions by artefact kind.", "counter", ss.KindEvictions)
-}
-
-// writeKindFamily emits one labeled Prometheus family with a
-// deterministic (sorted) sample order, skipping empty families.
-func writeKindFamily(w io.Writer, name, help, typ string, byKind map[string]int64) {
-	if len(byKind) == 0 {
-		return
-	}
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, k := range kinds {
-		fmt.Fprintf(w, "%s{kind=%q} %d\n", name, k, byKind[k])
 	}
 }

@@ -75,54 +75,6 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyPathsRedirect pins the migration contract: every
-// unversioned path 308s to its /v1 home, and — because 308 preserves
-// method and body — a redirect-following client keeps working through
-// POSTs unchanged.
-func TestLegacyPathsRedirect(t *testing.T) {
-	srv, ts := startServer(t, Config{})
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for _, c := range []struct{ path, want string }{
-		{"/units/fig6", "/v1/units/fig6"},
-		{"/scenarios", "/v1/scenarios"},
-		{"/jobs", "/v1/jobs"},
-		{"/jobs/job-00000001", "/v1/jobs/job-00000001"},
-		{"/stats", "/v1/stats"},
-		{"/jobs?state=done&limit=5", "/v1/jobs?state=done&limit=5"},
-	} {
-		resp, err := noFollow.Get(ts.URL + c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Fatalf("GET %s: %d, want 308", c.path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != c.want {
-			t.Fatalf("GET %s: Location %q, want %q", c.path, loc, c.want)
-		}
-	}
-
-	// A stock client POSTing a scenario to the legacy path follows the
-	// 308 with its body intact and gets the rendered result.
-	resp, err := http.Post(ts.URL+"/scenarios", "application/json",
-		strings.NewReader(`{"workloads": ["H-Grep"], "sizes_kb": [16]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(b) == 0 {
-		t.Fatalf("legacy POST through redirect: %d: %s", resp.StatusCode, b)
-	}
-	if st := srv.Stats(); st.ScenarioRequests != 1 || st.Computes != 1 {
-		t.Fatalf("redirected POST did not reach v1: %+v", st)
-	}
-}
-
 // seedJobs plants n terminal jobs directly in the set (no computation)
 // with alternating done/failed states, returning their ids oldest
 // first.

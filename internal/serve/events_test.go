@@ -280,7 +280,7 @@ func Test32SSESubscribersColdCompute(t *testing.T) {
 	if code, _, b := get(t, ts.URL+"/v1/units/table2"); code != http.StatusOK {
 		t.Fatalf("cold unit: status %d: %s", code, b)
 	}
-	if c := srv.Stats().Computes; c != 1 {
+	if c := srv.Metrics().Int("computes"); c != 1 {
 		t.Fatalf("computes = %d with 32 subscribers attached, want 1", c)
 	}
 

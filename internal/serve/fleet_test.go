@@ -181,11 +181,11 @@ func TestFleetProxyColdToOwner(t *testing.T) {
 	if hdr.Get("X-Reprod-Key") == "" {
 		t.Fatal("proxied response lost the artifact key header")
 	}
-	ownerSt, otherSt := servers[ownerIdx].Stats(), servers[otherIdx].Stats()
-	if ownerSt.Computes != 1 || otherSt.Computes != 0 {
-		t.Fatalf("computes owner=%d other=%d, want 1/0", ownerSt.Computes, otherSt.Computes)
+	ownerSt, otherSt := servers[ownerIdx].Metrics(), servers[otherIdx].Metrics()
+	if ownerSt.Int("computes") != 1 || otherSt.Int("computes") != 0 {
+		t.Fatalf("computes owner=%d other=%d, want 1/0", ownerSt.Int("computes"), otherSt.Int("computes"))
 	}
-	if otherSt.Proxied != 1 || ownerSt.PeerServed != 1 || ownerSt.LoopGuarded != 0 {
+	if otherSt.Int("fleet_proxied") != 1 || ownerSt.Int("fleet_peer_served") != 1 || ownerSt.Int("fleet_loop_guarded") != 0 {
 		t.Fatalf("fleet counters: %+v / %+v", ownerSt, otherSt)
 	}
 
@@ -201,7 +201,7 @@ func TestFleetProxyColdToOwner(t *testing.T) {
 	if !bytes.Equal(body, warm) {
 		t.Fatal("warm bytes differ from proxied cold bytes")
 	}
-	if st := servers[otherIdx].Stats(); st.Proxied != 1 {
+	if st := servers[otherIdx].Metrics(); st.Int("fleet_proxied") != 1 {
 		t.Fatalf("warm request proxied again: %+v", st)
 	}
 }
@@ -233,12 +233,12 @@ func TestFleetLoopGuard(t *testing.T) {
 	if src := resp.Header.Get("X-Reprod-Source"); src != "computed" {
 		t.Fatalf("loop-guarded source %q, want computed (locally)", src)
 	}
-	st := servers[otherIdx].Stats()
-	if st.Computes != 1 || st.Proxied != 0 {
+	st := servers[otherIdx].Metrics()
+	if st.Int("computes") != 1 || st.Int("fleet_proxied") != 0 {
 		t.Fatalf("loop-guarded request forwarded on: %+v", st)
 	}
-	if st.PeerServed != 1 || st.LoopGuarded != 1 {
-		t.Fatalf("loop-guard counters: peerServed=%d loopGuarded=%d, want 1/1", st.PeerServed, st.LoopGuarded)
+	if st.Int("fleet_peer_served") != 1 || st.Int("fleet_loop_guarded") != 1 {
+		t.Fatalf("loop-guard counters: peerServed=%d loopGuarded=%d, want 1/1", st.Int("fleet_peer_served"), st.Int("fleet_loop_guarded"))
 	}
 }
 
@@ -284,8 +284,8 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner-down scenario: %d: %s", resp.StatusCode, b)
 	}
-	st := srv.Stats()
-	if st.ProxyFallback != 1 || st.Computes != 1 || st.Proxied != 0 {
+	st := srv.Metrics()
+	if st.Int("fleet_proxy_fallback") != 1 || st.Int("computes") != 1 || st.Int("fleet_proxied") != 0 {
 		t.Fatalf("fallback counters: %+v", st)
 	}
 }
@@ -330,9 +330,9 @@ func TestFleetCoalescingOneComputeFleetWide(t *testing.T) {
 	}
 	var computes, renders int64
 	for _, s := range servers {
-		st := s.Stats()
-		computes += st.Computes
-		renders += st.Renders
+		st := s.Metrics()
+		computes += st.Int("computes")
+		renders += st.Int("renders")
 	}
 	if computes != 1 {
 		t.Fatalf("32 cold requests across the fleet ran %d computations, want exactly 1", computes)

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/experiments"
+	"repro/internal/telemetry"
 )
 
 // jsonSurface lists a stats object's keys with the JSON kind of each
@@ -122,13 +122,13 @@ func sameSurface(t *testing.T, what string, got, want []string) {
 	}
 }
 
-// TestMetricSurface pins reprod's observability wire surface: every
-// /v1/stats key with its JSON kind, and every /metrics family with its
-// type and label names. The server runs in fleet mode with one
-// unreachable peer and under a memory quota small enough to evict, so
-// the conditional families (peer states, per-kind store figures)
-// render too.
-func TestMetricSurface(t *testing.T) {
+// busyServer starts a fleet-mode server with one unreachable peer,
+// under a memory quota small enough to evict, and drives traffic
+// through it so that the conditional families (peer states, per-kind
+// store figures) render and the memory hit ratio is fractional. It
+// returns the server and its base URL.
+func busyServer(t *testing.T) (*Server, string) {
+	t.Helper()
 	const dead = "http://127.0.0.1:9"
 	var srv *Server
 	host := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -149,41 +149,103 @@ func TestMetricSurface(t *testing.T) {
 	// store memory hit).
 	var last string
 	for _, w := range []string{"H-Grep", "S-Sort", "H-WordCount"} {
-		last = selfOwnedScenario(t, srv, host.URL, w)
+		last, _ = scenarioOwnedByOpt(t, srv.fleet, host.URL, "surface", w, tinyOpt())
 		if code, _, b := postScenario(t, host.URL, last); code != http.StatusOK {
 			t.Fatalf("scenario %s: %d: %s", w, code, b)
 		}
 	}
-	runJob(t, host.URL, `{"scenarios": [`+last+`]}`)
+	completeJob(t, host.URL, `{"scenarios": [`+last+`]}`)
+	return srv, host.URL
+}
 
-	_, _, sb := get(t, host.URL+"/v1/stats")
+// TestMetricSurface pins reprod's observability wire surface: every
+// /v1/stats key with its JSON kind, and every /metrics family with its
+// type and label names, on a busy server where every family renders.
+func TestMetricSurface(t *testing.T) {
+	_, base := busyServer(t)
+	_, _, sb := get(t, base+"/v1/stats")
 	sameSurface(t, "/v1/stats", jsonSurface(t, sb), statsSurface)
-	_, _, mb := get(t, host.URL+"/metrics")
+	_, _, mb := get(t, base+"/metrics")
 	sameSurface(t, "/metrics", promSurface(t, string(mb)), metricsSurface)
 }
 
-// selfOwnedScenario returns a one-size scenario body over workload
-// whose key srv's fleet homes on self.
-func selfOwnedScenario(t *testing.T, srv *Server, self, workload string) string {
-	t.Helper()
-	for i := 0; i < 500; i++ {
-		spec := Scenario{Name: fmt.Sprintf("surface-%d", i), Workloads: []string{workload}, SizesKB: []int{16}}
-		canon, err := spec.Canonical(srv.cfg.Opt)
-		if err != nil {
-			t.Fatal(err)
+// TestStatsMatchMetrics checks that the two endpoints agree: every
+// numeric /v1/stats value equals the /metrics sample its declaration
+// names. The pair is read between two /v1/stats reads that must match,
+// so a gauge moving under the test (goroutines) cannot skew it.
+func TestStatsMatchMetrics(t *testing.T) {
+	srv, base := busyServer(t)
+	var stats map[string]any
+	var samples map[string]float64
+	for try := 0; ; try++ {
+		_, _, before := get(t, base+"/v1/stats")
+		_, _, mb := get(t, base+"/metrics")
+		_, _, after := get(t, base+"/v1/stats")
+		if bytes.Equal(before, after) {
+			if err := json.Unmarshal(after, &stats); err != nil {
+				t.Fatal(err)
+			}
+			samples = promSamples(t, string(mb))
+			break
 		}
-		if srv.fleet.owner(experiments.ScenarioKey(canon).ID()) == self {
-			b, _ := json.Marshal(spec)
-			return string(b)
+		if try == 20 {
+			t.Fatalf("/v1/stats never settled:\n%s\n%s", before, after)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	declared := map[string]bool{}
+	for _, m := range srv.Metrics() {
+		declared[m.Key] = true
+		want := map[string]any{m.Name: stats[m.Key]}
+		switch v := m.Value.(type) {
+		case telemetry.Labeled:
+			want = map[string]any{}
+			obj, _ := stats[m.Key].(map[string]any)
+			for k, x := range obj {
+				want[fmt.Sprintf("%s{%s=%q}", m.Name, v.Label, k)] = x
+			}
+		case telemetry.States:
+			continue // state names, not numbers
+		}
+		for name, x := range want {
+			f, ok := x.(float64)
+			if !ok {
+				t.Errorf("/v1/stats %s = %v, not a number", m.Key, x)
+				continue
+			}
+			if got, ok := samples[name]; !ok || got != f {
+				t.Errorf("/v1/stats %s = %v, /metrics %s = %v (present %v)", m.Key, f, name, got, ok)
+			}
 		}
 	}
-	t.Fatalf("no %s scenario owned by %s in 500 tries", workload, self)
-	return ""
+	for k := range stats {
+		if !declared[k] {
+			t.Errorf("/v1/stats %s has no declaration", k)
+		}
+	}
 }
 
-// runJob submits a job and polls it to a terminal state, failing t
+// promSamples maps each sample's name, labels included, to its value.
+func promSamples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// completeJob submits a job and polls it to a terminal state, failing t
 // unless it finishes done.
-func runJob(t *testing.T, base, body string) JobStatus {
+func completeJob(t *testing.T, base, body string) {
 	t.Helper()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -206,7 +268,7 @@ func runJob(t *testing.T, base, body string) JobStatus {
 		}
 		switch st.State {
 		case JobDone:
-			return st
+			return
 		case JobFailed, JobCanceled:
 			t.Fatalf("job %s finished %s (%s)", ack.ID, st.State, st.Error)
 		}
@@ -312,4 +374,9 @@ var metricsSurface = []string{
 	"reprod_trace_passes_total counter",
 	"reprod_unit_requests_total counter",
 	"reprod_warm_hits_total counter",
+	"reprod_dataset_generations_total counter",
+	"reprod_store_mem_hits_total counter",
+	"reprod_store_backend_discards_total counter",
+	"reprod_store_skipped_total counter",
+	"reprod_goroutines gauge",
 }

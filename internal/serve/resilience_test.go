@@ -22,20 +22,20 @@ import (
 // member, returning the request body and the key.
 func scenarioOwnedBy(t *testing.T, f *fleet, member, tag string) (string, artifact.Key) {
 	t.Helper()
-	return scenarioOwnedByOpt(t, f, member, tag, tinyOpt())
+	return scenarioOwnedByOpt(t, f, member, tag, "H-Grep", tinyOpt())
 }
 
-func scenarioOwnedByOpt(t *testing.T, f *fleet, member, tag string, opt experiments.Options) (string, artifact.Key) {
+func scenarioOwnedByOpt(t *testing.T, f *fleet, member, tag, workload string, opt experiments.Options) (string, artifact.Key) {
 	t.Helper()
 	for i := 0; i < 500; i++ {
-		spec := Scenario{Name: fmt.Sprintf("%s-%d", tag, i), Workloads: []string{"H-Grep"}, SizesKB: []int{16}}
+		spec := Scenario{Name: fmt.Sprintf("%s-%d", tag, i), Workloads: []string{workload}, SizesKB: []int{16}}
 		canon, err := spec.Canonical(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		key := experiments.ScenarioKey(canon)
 		if f.owner(key.ID()) == member {
-			return fmt.Sprintf(`{"name": %q, "workloads": ["H-Grep"], "sizes_kb": [16]}`, spec.Name), key
+			return fmt.Sprintf(`{"name": %q, "workloads": [%q], "sizes_kb": [16]}`, spec.Name, workload), key
 		}
 	}
 	t.Fatalf("no scenario key owned by %s in 500 tries", member)
@@ -83,20 +83,20 @@ func TestFleetBreakerTripsAndReroutes(t *testing.T) {
 			t.Fatalf("request %d: %d: %s", i, code, b)
 		}
 	}
-	st := srv.Stats()
-	if st.ProxyFallback != 2 {
-		t.Fatalf("proxy fallbacks %d, want 2 (then the breaker takes over)", st.ProxyFallback)
+	st := srv.Metrics()
+	if st.Int("fleet_proxy_fallback") != 2 {
+		t.Fatalf("proxy fallbacks %d, want 2 (then the breaker takes over)", st.Int("fleet_proxy_fallback"))
 	}
-	if st.Rerouted != 1 {
-		t.Fatalf("rerouted %d, want 1 (the post-trip request must not dial)", st.Rerouted)
+	if st.Int("fleet_rerouted") != 1 {
+		t.Fatalf("rerouted %d, want 1 (the post-trip request must not dial)", st.Int("fleet_rerouted"))
 	}
-	if st.Computes != 3 {
-		t.Fatalf("computes %d, want 3 (every request answered locally)", st.Computes)
+	if st.Int("computes") != 3 {
+		t.Fatalf("computes %d, want 3 (every request answered locally)", st.Int("computes"))
 	}
-	if st.BreakerTrips != 1 || st.PeerUnhealthy != 1 {
-		t.Fatalf("trips=%d unhealthy=%d, want 1/1", st.BreakerTrips, st.PeerUnhealthy)
+	if st.Int("breaker_trips") != 1 || st.Int("fleet_peer_unhealthy") != 1 {
+		t.Fatalf("trips=%d unhealthy=%d, want 1/1", st.Int("breaker_trips"), st.Int("fleet_peer_unhealthy"))
 	}
-	if got := st.PeerStates[dead]; got != "open" {
+	if got := st.Value("peer_states").(map[string]string)[dead]; got != "open" {
 		t.Fatalf("dead peer state %q, want open", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestFleetBreakerHalfOpenRecovery(t *testing.T) {
 	if code, _, b := postScenario(t, urls[0], body); code != http.StatusOK {
 		t.Fatalf("owner-down request: %d: %s", code, b)
 	}
-	if st := servers[0].Stats(); st.ProxyFallback != 1 || st.BreakerTrips != 1 {
+	if st := servers[0].Metrics(); st.Int("fleet_proxy_fallback") != 1 || st.Int("breaker_trips") != 1 {
 		t.Fatalf("after down request: %+v", st)
 	}
 
@@ -158,12 +158,12 @@ func TestFleetBreakerHalfOpenRecovery(t *testing.T) {
 	if code, _, b := postScenario(t, urls[0], body); code != http.StatusOK {
 		t.Fatalf("mid-cooldown request: %d: %s", code, b)
 	}
-	st := servers[0].Stats()
-	if st.Rerouted != 1 || st.Proxied != 0 {
-		t.Fatalf("mid-cooldown: rerouted=%d proxied=%d, want 1/0", st.Rerouted, st.Proxied)
+	st := servers[0].Metrics()
+	if st.Int("fleet_rerouted") != 1 || st.Int("fleet_proxied") != 0 {
+		t.Fatalf("mid-cooldown: rerouted=%d proxied=%d, want 1/0", st.Int("fleet_rerouted"), st.Int("fleet_proxied"))
 	}
-	if st.PeerStates[urls[1]] != "open" {
-		t.Fatalf("mid-cooldown state %q, want open", st.PeerStates[urls[1]])
+	if st.Value("peer_states").(map[string]string)[urls[1]] != "open" {
+		t.Fatalf("mid-cooldown state %q, want open", st.Value("peer_states").(map[string]string)[urls[1]])
 	}
 
 	// 3. Cooldown elapses: the next request is the half-open probe; it
@@ -173,14 +173,14 @@ func TestFleetBreakerHalfOpenRecovery(t *testing.T) {
 	if code, _, b := postScenario(t, urls[0], body); code != http.StatusOK {
 		t.Fatalf("probe request: %d: %s", code, b)
 	}
-	st = servers[0].Stats()
-	if st.Proxied != 1 {
+	st = servers[0].Metrics()
+	if st.Int("fleet_proxied") != 1 {
 		t.Fatalf("probe was not proxied: %+v", st)
 	}
-	if st.BreakerProbes != 1 || st.BreakerRecoveries != 1 {
-		t.Fatalf("probes=%d recoveries=%d, want 1/1", st.BreakerProbes, st.BreakerRecoveries)
+	if st.Int("breaker_probes") != 1 || st.Int("breaker_recoveries") != 1 {
+		t.Fatalf("probes=%d recoveries=%d, want 1/1", st.Int("breaker_probes"), st.Int("breaker_recoveries"))
 	}
-	if st.PeerUnhealthy != 0 || st.PeerStates[urls[1]] != "closed" {
+	if st.Int("fleet_peer_unhealthy") != 0 || st.Value("peer_states").(map[string]string)[urls[1]] != "closed" {
 		t.Fatalf("recovered peer still sidelined: %+v", st)
 	}
 }
@@ -259,12 +259,12 @@ func TestProxyPassesErrorEnvelopesByteIdentical(t *testing.T) {
 			t.Fatalf("%s: provenance headers lost: %v", tc.name, hdr)
 		}
 	}
-	st := srv.Stats()
-	if st.Proxied != int64(len(cases)) || st.ProxyFallback != 0 {
-		t.Fatalf("proxied=%d fallback=%d, want %d/0", st.Proxied, st.ProxyFallback, len(cases))
+	st := srv.Metrics()
+	if st.Int("fleet_proxied") != int64(len(cases)) || st.Int("fleet_proxy_fallback") != 0 {
+		t.Fatalf("proxied=%d fallback=%d, want %d/0", st.Int("fleet_proxied"), st.Int("fleet_proxy_fallback"), len(cases))
 	}
 	// Served errors are NOT peer failures: the breaker must stay closed.
-	if st.PeerUnhealthy != 0 || st.BreakerTrips != 0 {
+	if st.Int("fleet_peer_unhealthy") != 0 || st.Int("breaker_trips") != 0 {
 		t.Fatalf("error envelopes tripped the breaker: %+v", st)
 	}
 }
@@ -279,7 +279,7 @@ func TestCancellationThroughProxyHop(t *testing.T) {
 	// against compute completion, crossing two HTTP hops on the way.
 	slow := experiments.Options{Budget: 20_000_000, SweepBudget: 20_000_000, RosterBudget: 8_000}
 	servers, hosts := startFleet(t, 2, Config{Parallelism: 1, Opt: slow})
-	body, key := scenarioOwnedByOpt(t, servers[0].fleet, servers[1].fleet.self, "cancel", slow)
+	body, key := scenarioOwnedByOpt(t, servers[0].fleet, servers[1].fleet.self, "cancel", "H-Grep", slow)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -319,11 +319,11 @@ func TestCancellationThroughProxyHop(t *testing.T) {
 	if n := servers[1].flights.inFlight(); n != 0 {
 		t.Fatalf("%d flights still alive on the owner after abandonment", n)
 	}
-	for servers[1].Stats().Abandoned == 0 && time.Now().Before(deadline) {
+	for servers[1].Metrics().Int("abandoned") == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := servers[1].Stats(); st.Abandoned != 1 {
-		t.Fatalf("owner abandoned=%d, want 1", st.Abandoned)
+	if st := servers[1].Metrics(); st.Int("abandoned") != 1 {
+		t.Fatalf("owner abandoned=%d, want 1", st.Int("abandoned"))
 	}
 	// Nothing half-computed was published.
 	if _, ok := artifact.Peek[[]byte](servers[0].Store(), key, nil); ok {
@@ -331,7 +331,7 @@ func TestCancellationThroughProxyHop(t *testing.T) {
 	}
 	// A cancelled forward is the client's doing, not the peer's: the
 	// owner's breaker must not have moved.
-	if st := servers[0].Stats(); st.PeerUnhealthy != 0 || st.BreakerTrips != 0 {
+	if st := servers[0].Metrics(); st.Int("fleet_peer_unhealthy") != 0 || st.Int("breaker_trips") != 0 {
 		t.Fatalf("cancellation fed the peer breaker: %+v", st)
 	}
 }

@@ -27,24 +27,26 @@
 //     finished work is fetched warm through the synchronous endpoints.
 //
 // The HTTP surface is versioned under /v1 with a uniform JSON error
-// envelope; legacy unversioned paths 308-redirect (see api.go for the
-// wire schema). Shutdown (SIGTERM in cmd/reprod) drains: in-flight
-// requests and running jobs complete, queued jobs are cancelled, new
-// submissions are refused 503.
+// envelope (see api.go for the wire schema). Shutdown (SIGTERM in
+// cmd/reprod) drains: in-flight requests and running jobs complete,
+// queued jobs are cancelled, new submissions are refused 503.
 package serve
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/conc"
+	"repro/internal/datagen"
 	"repro/internal/eventbus"
 	"repro/internal/experiments"
 	"repro/internal/retry"
+	"repro/internal/telemetry"
 )
 
 // Scenario re-exports the declarative request spec.
@@ -123,6 +125,7 @@ type Server struct {
 
 	draining atomic.Bool
 
+	// The serving counters; Metrics names them on the wire.
 	unitReqs, scenarioReqs            atomic.Int64
 	warmHits, coalesced, computes     atomic.Int64
 	abandoned                         atomic.Int64
@@ -320,7 +323,6 @@ func (s *Server) runJob(j *job) {
 	s.emitJob(j, "started", nil)
 
 	sess := s.session(j.ctx)
-	s.computes.Add(1)
 	var timings []UnitTiming
 	var firstErr error
 
@@ -398,6 +400,11 @@ func (s *Server) runJob(j *job) {
 		timings = append(timings, UnitTiming{
 			Unit: "scenario:" + name, Ms: float64(time.Since(start).Microseconds()) / 1000, Status: status,
 		})
+	}
+	// Like compute: a job whose every unit was already warm only copied
+	// bytes out of the store, and is not a computation.
+	if sess.Renders() > 0 {
+		s.computes.Add(1)
 	}
 	s.absorb(sess)
 
@@ -531,45 +538,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Stats is a snapshot of the serving counters.
-type Stats struct {
-	UnitRequests, ScenarioRequests int64
-	WarmHits, Coalesced, Computes  int64
-	Abandoned                      int64
-	InFlight                       int64
-	JobsSubmitted, JobsDone        int64
-	JobsFailed, JobsCanceled       int64
-	TracePasses, ProfileRuns       int64
-	Renders                        int64
-	// Fleet counters: requests this replica forwarded to a key's home
-	// (Proxied), forwards that failed over to local compute
-	// (ProxyFallback), requests received from a peer (PeerServed), and
-	// peer-forwarded requests this replica would itself have routed
-	// elsewhere — membership disagreement absorbed by the loop guard
-	// (LoopGuarded). FleetSize is 0 when fleet mode is off.
-	Proxied, ProxyFallback  int64
-	PeerServed, LoopGuarded int64
-	FleetSize               int
-	// Peer-health counters: requests routed around a tripped owner
-	// (Rerouted), extra proxy attempts beyond each forward's first
-	// (ProxyRetries), peers currently sidelined — breaker not closed
-	// (PeerUnhealthy) — plus the summed breaker lifecycle counters and
-	// every peer's current breaker state keyed by its advertised URL.
-	Rerouted, ProxyRetries                         int64
-	PeerUnhealthy                                  int64
-	BreakerTrips, BreakerProbes, BreakerRecoveries int64
-	PeerStates                                     map[string]string
-	// Store health: whether the persistence backend is degraded (this
-	// replica serves memory hits and computes locally, buffering
-	// nothing) and the backend's retry/skip counters.
-	StoreDegraded              bool
-	StoreRetries, StoreSkipped int64
-	// Event-bus counters: events materialized on the bus, events shed
-	// from slow subscribers' rings, and currently attached subscribers.
-	EventsPublished, EventsDropped int64
-	EventSubscribers               int64
-}
-
 // Healthy reports readiness: not draining and the store backend not
 // degraded. Liveness is /healthz; this feeds /readyz.
 func (s *Server) Healthy() (ready bool, reason string) {
@@ -582,29 +550,66 @@ func (s *Server) Healthy() (ready bool, reason string) {
 	return true, "ready"
 }
 
-// Stats returns the current counter snapshot.
-func (s *Server) Stats() Stats {
+// Metrics snapshots every serving metric, reading each source once: the
+// one declaration behind both GET /v1/stats and GET /metrics.
+func (s *Server) Metrics() telemetry.List {
 	states, unhealthy, bc := s.fleet.healthSnapshot()
 	sh := s.store.Health()
+	ss := s.store.Stats()
 	bs := s.bus.Stats()
-	return Stats{
-		UnitRequests: s.unitReqs.Load(), ScenarioRequests: s.scenarioReqs.Load(),
-		WarmHits: s.warmHits.Load(), Coalesced: s.coalesced.Load(), Computes: s.computes.Load(),
-		Abandoned: s.abandoned.Load(), InFlight: int64(s.flights.inFlight()),
-		JobsSubmitted: s.jobsSubmitted.Load(), JobsDone: s.jobsDone.Load(),
-		JobsFailed: s.jobsFailed.Load(), JobsCanceled: s.jobsCanceled.Load(),
-		TracePasses: s.tracePasses.Load(), ProfileRuns: s.profileRuns.Load(),
-		Renders: s.renders.Load(),
-		Proxied: s.proxied.Load(), ProxyFallback: s.proxyFallback.Load(),
-		PeerServed: s.peerServed.Load(), LoopGuarded: s.loopGuarded.Load(),
-		FleetSize: s.fleet.size(),
-		Rerouted:  s.rerouted.Load(), ProxyRetries: s.proxyRetries.Load(),
-		PeerUnhealthy: unhealthy,
-		BreakerTrips:  bc.Trips, BreakerProbes: bc.Probes, BreakerRecoveries: bc.Recoveries,
-		PeerStates:    states,
-		StoreDegraded: sh.Degraded,
-		StoreRetries:  sh.Retries, StoreSkipped: sh.Skipped,
-		EventsPublished: bs.Published, EventsDropped: bs.Dropped,
-		EventSubscribers: bs.Subscribers,
+	passes := s.tracePasses.Load()
+	return telemetry.List{
+		telemetry.Counter("unit_requests", "reprod_unit_requests_total", "Paper-unit requests received.", s.unitReqs.Load()),
+		telemetry.Counter("scenario_requests", "reprod_scenario_requests_total", "Scenario requests received.", s.scenarioReqs.Load()),
+		telemetry.Counter("warm_hits", "reprod_warm_hits_total", "Requests answered straight from the store.", s.warmHits.Load()),
+		telemetry.Counter("coalesced", "reprod_coalesced_total", "Requests that joined an in-flight computation.", s.coalesced.Load()),
+		telemetry.Counter("computes", "reprod_computes_total", "Computations actually executed.", s.computes.Load()),
+		telemetry.Counter("abandoned", "reprod_abandoned_total", "Requests whose clients left before the answer.", s.abandoned.Load()),
+		telemetry.Gauge("in_flight", "reprod_in_flight", "Computations currently in flight.", int64(s.flights.inFlight())),
+		telemetry.Counter("jobs_submitted", "reprod_jobs_submitted_total", "Jobs accepted.", s.jobsSubmitted.Load()),
+		telemetry.Counter("jobs_done", "reprod_jobs_done_total", "Jobs finished successfully.", s.jobsDone.Load()),
+		telemetry.Counter("jobs_failed", "reprod_jobs_failed_total", "Jobs finished with an error.", s.jobsFailed.Load()),
+		telemetry.Counter("jobs_canceled", "reprod_jobs_canceled_total", "Jobs cancelled (client or shutdown).", s.jobsCanceled.Load()),
+		telemetry.Counter("trace_passes", "reprod_trace_passes_total", "Sweep trace passes executed.", passes),
+		telemetry.Counter("sweep_stackdist_passes", "reprod_sweep_stackdist_passes_total", "Trace passes run by the stack-distance sweep engine.", passes),
+		telemetry.Counter("profile_runs", "reprod_profile_runs_total", "Profiling runs executed.", s.profileRuns.Load()),
+		telemetry.Counter("renders", "reprod_renders_total", "Units rendered.", s.renders.Load()),
+		telemetry.Counter("dataset_generations", "reprod_dataset_generations_total", "Dataset-content generations executed by this process.", datagen.Generations()),
+		telemetry.Gauge("fleet_size", "reprod_fleet_size", "Fleet membership size (0 = fleet mode off).", int64(s.fleet.size())),
+		telemetry.Counter("fleet_proxied", "reprod_fleet_proxied_total", "Cold requests forwarded to their home replica.", s.proxied.Load()),
+		telemetry.Counter("fleet_proxy_fallback", "reprod_fleet_proxy_fallback_total", "Forwards failed over to local compute (owner unreachable).", s.proxyFallback.Load()),
+		telemetry.Counter("fleet_peer_served", "reprod_fleet_peer_served_total", "Requests received from a fleet peer.", s.peerServed.Load()),
+		telemetry.Counter("fleet_loop_guarded", "reprod_fleet_loop_guarded_total", "Peer-forwarded requests this replica would have routed elsewhere.", s.loopGuarded.Load()),
+		telemetry.Counter("fleet_rerouted", "reprod_fleet_rerouted_total", "Requests routed around a tripped peer breaker.", s.rerouted.Load()),
+		telemetry.Gauge("fleet_peer_unhealthy", "reprod_peer_unhealthy", "Fleet peers currently sidelined (breaker not closed).", unhealthy),
+		telemetry.Gauge("peer_states", "reprod_breaker_state", "Peer breaker state (0 closed, 1 half-open, 2 open).",
+			telemetry.States{Label: "peer", Values: states, Names: []string{"closed", "half-open", "open"}}),
+		telemetry.Counter("breaker_trips", "reprod_breaker_trips_total", "Peer breakers tripped open (fail limit reached).", bc.Trips),
+		telemetry.Counter("breaker_probes", "reprod_breaker_probes_total", "Half-open probes sent to tripped peers.", bc.Probes),
+		telemetry.Counter("breaker_recoveries", "reprod_breaker_recoveries_total", "Peer breakers closed again by a successful probe.", bc.Recoveries),
+		// The store's HTTP backend and the fleet proxy retry
+		// independently: one family, labelled by component.
+		telemetry.Counter("store_retries", `reprod_retries_total{component="store"}`, "Extra attempts beyond each operation's first.", sh.Retries),
+		telemetry.Counter("fleet_proxy_retries", `reprod_retries_total{component="proxy"}`, "", s.proxyRetries.Load()),
+		telemetry.Gauge("store_degraded", "reprod_store_degraded", "Whether the persistence backend is degraded (1 = serving memory hits and computing locally).", sh.Degraded),
+		telemetry.Counter("store_skipped", "reprod_store_skipped_total", "Store backend operations short-circuited while degraded.", sh.Skipped),
+		telemetry.Counter("store_fills", "reprod_store_fills_total", "Store computations executed.", ss.Fills),
+		telemetry.Counter("store_mem_hits", "reprod_store_mem_hits_total", "Store lookups answered by a resident entry.", ss.MemHits),
+		telemetry.Counter("store_backend_hits", "reprod_store_backend_hits_total", "Fills satisfied by the persistence backend.", ss.BackendHits),
+		telemetry.Counter("store_backend_discards", "reprod_store_backend_discards_total", "Backend entries rejected as corrupt, stale or mislabelled.", ss.BackendDiscards),
+		telemetry.Counter("store_prefetched", "reprod_store_prefetched_total", "Entries staged by bulk prefetch.", ss.Prefetched),
+		telemetry.Counter("store_evictions", "reprod_store_evictions_total", "Memory-tier residents evicted under quota.", ss.Evictions),
+		telemetry.Counter("store_evicted_bytes", "reprod_store_evicted_bytes_total", "Charged bytes evicted by the memory tier.", ss.EvictedBytes),
+		telemetry.Gauge("store_resident_bytes", "reprod_store_resident_bytes", "Charged bytes resident in the store's memory tier.", ss.ResidentBytes),
+		telemetry.Gauge("store_resident_entries", "reprod_store_resident_entries", "Residents (entries + staged prefetches) in the memory tier.", ss.ResidentEntries),
+		telemetry.Gauge("store_mem_hit_ratio", "reprod_store_mem_hit_ratio", "Fraction of store lookups answered by a resident entry.", ss.MemHitRatio()),
+		telemetry.Gauge("store_kind_resident_bytes", "reprod_store_kind_resident_bytes", "Resident memory-tier bytes by artefact kind.",
+			telemetry.Labeled{Label: "kind", Values: ss.KindResident}),
+		telemetry.Counter("store_kind_evictions", "reprod_store_kind_evictions_total", "Memory-tier evictions by artefact kind.",
+			telemetry.Labeled{Label: "kind", Values: ss.KindEvictions}),
+		telemetry.Counter("events_published", "reprod_events_published_total", "Events materialized on the event bus.", bs.Published),
+		telemetry.Counter("events_dropped", "reprod_events_dropped_total", "Events shed from slow subscribers' rings.", bs.Dropped),
+		telemetry.Gauge("subscribers", "reprod_event_subscribers", "Event-bus subscribers currently attached.", bs.Subscribers),
+		telemetry.Gauge("goroutines", "reprod_goroutines", "Goroutines in the process.", int64(runtime.NumGoroutine())),
 	}
 }

@@ -87,14 +87,14 @@ func TestCoalescing32ConcurrentColdRequests(t *testing.T) {
 			t.Fatalf("request %d returned different bytes", i)
 		}
 	}
-	st := srv.Stats()
-	if st.Computes != 1 {
-		t.Fatalf("32 cold requests ran %d computations, want exactly 1", st.Computes)
+	st := srv.Metrics()
+	if st.Int("computes") != 1 {
+		t.Fatalf("32 cold requests ran %d computations, want exactly 1", st.Int("computes"))
 	}
-	if st.Renders != 1 {
-		t.Fatalf("32 cold requests rendered %d times, want exactly 1", st.Renders)
+	if st.Int("renders") != 1 {
+		t.Fatalf("32 cold requests rendered %d times, want exactly 1", st.Int("renders"))
 	}
-	coldPasses := st.TracePasses
+	coldPasses := st.Int("trace_passes")
 	if coldPasses == 0 {
 		t.Fatal("cold figure traced nothing")
 	}
@@ -116,8 +116,8 @@ func TestCoalescing32ConcurrentColdRequests(t *testing.T) {
 	if !bytes.Equal(b, bodies[0]) {
 		t.Fatal("warm bytes differ from cold")
 	}
-	st = srv.Stats()
-	if st.Computes != 1 || st.Renders != 1 || st.TracePasses != coldPasses {
+	st = srv.Metrics()
+	if st.Int("computes") != 1 || st.Int("renders") != 1 || st.Int("trace_passes") != coldPasses {
 		t.Fatalf("warm request recomputed: %+v", st)
 	}
 }
@@ -181,8 +181,8 @@ func TestScenarioEndpoint(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("equivalent scenario bytes differ")
 	}
-	if st := srv.Stats(); st.Computes != 1 {
-		t.Fatalf("equivalent specs computed %d times", st.Computes)
+	if st := srv.Metrics(); st.Int("computes") != 1 {
+		t.Fatalf("equivalent specs computed %d times", st.Int("computes"))
 	}
 
 	// Library path serves the same bytes from a session sharing the store.
@@ -218,12 +218,14 @@ func TestScenarioEndpoint(t *testing.T) {
 	}
 }
 
-// TestUnknownUnit404 pins request validation.
+// TestUnknownUnit404 pins request validation, and that units live only
+// under /v1.
 func TestUnknownUnit404(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	code, _, _ := get(t, ts.URL+"/v1/units/fig99")
-	if code != http.StatusNotFound {
-		t.Fatalf("unknown unit: %d", code)
+	for _, path := range []string{"/v1/units/fig99", "/units/fig6"} {
+		if code, _, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Fatalf("GET %s: %d, want 404", path, code)
+		}
 	}
 }
 
@@ -293,8 +295,8 @@ func TestJobLifecycle(t *testing.T) {
 	if code != http.StatusOK || hdr.Get("X-Reprod-Source") != "warm" {
 		t.Fatalf("post-job unit: %d source %q", code, hdr.Get("X-Reprod-Source"))
 	}
-	if st := srv.Stats(); st.JobsDone != 1 {
-		t.Fatalf("jobs done = %d", st.JobsDone)
+	if st := srv.Metrics(); st.Int("jobs_done") != 1 {
+		t.Fatalf("jobs done = %d", st.Int("jobs_done"))
 	}
 
 	// Job listing includes it (as a summary in the page envelope).
@@ -305,6 +307,27 @@ func TestJobLifecycle(t *testing.T) {
 	var page JobPage
 	if err := json.Unmarshal(b, &page); err != nil || len(page.Jobs) != 1 || page.Jobs[0].ID != idResp.ID {
 		t.Fatalf("list %s: %v", b, err)
+	}
+}
+
+// TestJobOverWarmUnitsComputesNothing pins what computes counts for
+// jobs, as for requests: a session that rendered something. A job over
+// a unit already served warm copies bytes out of the store and leaves
+// computes alone; a job over a cold unit moves it by exactly one.
+func TestJobOverWarmUnitsComputesNothing(t *testing.T) {
+	srv, ts := startServer(t, Config{})
+	if code, _, b := get(t, ts.URL+"/v1/units/table3"); code != http.StatusOK {
+		t.Fatalf("unit: %d: %s", code, b)
+	}
+	computes := srv.Metrics().Int("computes")
+	completeJob(t, ts.URL, `{"units": ["table3"]}`)
+	if st := srv.Metrics(); st.Int("computes") != computes || st.Int("renders") != 1 {
+		t.Fatalf("warm job: computes %d -> %d, renders %d; want computes unchanged, 1 render",
+			computes, st.Int("computes"), st.Int("renders"))
+	}
+	completeJob(t, ts.URL, `{"units": ["table2"]}`)
+	if got := srv.Metrics().Int("computes"); got != computes+1 {
+		t.Fatalf("cold job: computes %d -> %d, want +1", computes, got)
 	}
 }
 
@@ -568,8 +591,8 @@ func TestEngineCountersAndMultiGeometryServing(t *testing.T) {
 			t.Errorf("%s moved by %v, want 1", k, d)
 		}
 	}
-	if st := srv.Stats(); st.TracePasses != 1 {
-		t.Errorf("server trace passes %d, want 1", st.TracePasses)
+	if st := srv.Metrics(); st.Int("trace_passes") != 1 {
+		t.Errorf("server trace passes %d, want 1", st.Int("trace_passes"))
 	}
 	_, _, mb := get(t, ts.URL+"/metrics")
 	for _, family := range []string{
@@ -613,8 +636,8 @@ func TestScenarioGeometryBombsRejected(t *testing.T) {
 	if code, _, hb := get(t, ts.URL+"/healthz"); code != http.StatusOK || string(hb) != "ok\n" {
 		t.Fatalf("healthz after rejected scenarios: %d %q", code, hb)
 	}
-	if st := srv.Stats(); st.Computes != 0 {
-		t.Errorf("rejected scenarios ran %d computations", st.Computes)
+	if st := srv.Metrics(); st.Int("computes") != 0 {
+		t.Errorf("rejected scenarios ran %d computations", st.Int("computes"))
 	}
 }
 
@@ -643,8 +666,8 @@ func TestServedBytesStableAcrossRestart(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("restarted server served different bytes")
 	}
-	if st := srv2.Stats(); st.Computes != 0 {
-		t.Fatalf("restarted server recomputed %d times", st.Computes)
+	if st := srv2.Metrics(); st.Int("computes") != 0 {
+		t.Fatalf("restarted server recomputed %d times", st.Int("computes"))
 	}
 }
 
