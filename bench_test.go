@@ -21,10 +21,12 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/artifact/artifactd"
 	"repro/internal/artifact/httpstore"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/serve"
+	"repro/internal/sim/isa"
 	"repro/internal/sim/machine"
 	"repro/internal/sim/trace"
 	"repro/internal/workloads"
@@ -467,6 +469,73 @@ func BenchmarkWorkloadThroughput(b *testing.B) {
 		Run(w, cfg, 200_000)
 	}
 	b.ReportMetric(200_000*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+}
+
+// layerBenchBudget is the per-workload instruction budget of the
+// trace/gen and machine/profile layer benchmarks.
+const layerBenchBudget = 500_000
+
+// nullBlockProbe discards every delivered block, leaving only the
+// emitter's own cost.
+type nullBlockProbe struct{}
+
+func (nullBlockProbe) Inst(*isa.Inst)       {}
+func (nullBlockProbe) InstBlock([]isa.Inst) {}
+
+// primeDatasets runs every workload once on a tiny budget so dataset
+// generation (memoized process-wide) falls outside the timed loop.
+func primeDatasets(list []workloads.Workload) {
+	for _, w := range list {
+		workloads.RunBlock(w, nullBlockProbe{}, 1_000, 0)
+	}
+}
+
+// BenchmarkTraceGen is the trace/gen layer: the 17 representatives'
+// kernels emitting their instruction streams in blocks into a probe
+// that discards them. BenchmarkMachineProfile runs the same streams
+// through the machine model, so the model's cost is the difference.
+func BenchmarkTraceGen(b *testing.B) {
+	list := workloads.Representative17()
+	primeDatasets(list)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		for _, w := range list {
+			insts += workloads.RunBlock(w, nullBlockProbe{}, layerBenchBudget, 0).Insts
+		}
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+}
+
+// BenchmarkMachineProfile is the machine/profile layer on top of
+// trace/gen: one core.Profiler.Profile per representative — the
+// emitter driving a fresh machine model through its block path, then
+// the 45-metric vector — over the same workloads and budget as
+// BenchmarkTraceGen, on each preset. The streams are generated live
+// rather than replayed from a recording: a recorded stream of
+// realistic length is read from DRAM, and the read bandwidth hides
+// the model's cost.
+func BenchmarkMachineProfile(b *testing.B) {
+	list := workloads.Representative17()
+	primeDatasets(list)
+	for _, preset := range []struct {
+		name string
+		cfg  machine.Config
+	}{{"xeon", machine.XeonE5645()}, {"atom", machine.AtomD510()}} {
+		b.Run(preset.name, func(b *testing.B) {
+			p := &core.Profiler{Machine: preset.cfg, Budget: layerBenchBudget}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				for _, w := range list {
+					insts += p.Profile(w).Run.Insts
+				}
+			}
+			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+		})
+	}
 }
 
 // BenchmarkCharacterizeVector measures the 45-metric collection path.

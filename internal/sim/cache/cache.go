@@ -10,6 +10,8 @@
 // prefetch, as MARSSx86 was configured in the paper.
 package cache
 
+import "math/bits"
+
 // Config describes one cache level.
 type Config struct {
 	// Name labels the level in reports ("L1I", "L2", ...).
@@ -35,46 +37,52 @@ func (c Config) Valid() bool {
 // Cache is a single set-associative cache with true-LRU replacement.
 // The zero value is not usable; construct with New.
 //
-// A set's whole state lives in one contiguous meta slab region — its
-// ways' tags followed by its ways' LRU stamps, with the dirty flag
-// folded into the tag word — so one access touches one small span of
-// one array (and one TLB page) instead of scattering loads across
-// three parallel arrays. For the 8-way geometries every model uses,
-// that is two adjacent 64-byte lines per set.
+// A set's whole state lives in one contiguous meta slab region: its
+// recency word followed by its ways' tags, with the dirty flag folded
+// into the tag word, so one access touches one small span of one array
+// (and one host TLB page). The recency word lists the set's ways from
+// most to least recently used, 4 bits per way starting at the low
+// nibble — which is what caps a cache at MaxWays ways. A hit moves its
+// way's nibble to the front; a miss evicts the way in the last nibble
+// and moves it to the front. An empty set's word runs from way W-1
+// down to way 0, so fills take ways 0, 1, 2, ... in turn.
 type Cache struct {
 	cfg       Config
 	sets      uint64
 	setMask   uint64 // sets-1 when sets is a power of two
 	pow2      bool   // set indexing may use the mask instead of %
 	lineShift uint
-	// meta holds sets*ways*2 words: for set s, tags occupy
-	// [s*2W, s*2W+W) and stamps [s*2W+W, s*2W+2W). A tag word is the
-	// line address + 1 (0 stays "invalid") with the dirty flag in the
-	// top bit.
-	meta  []uint64
-	clock uint64
+	stride    uint64 // slab words per set: the recency word and the tags
+	lruShift  uint   // bit offset of the least recently used way's nibble
+	// meta holds sets*stride words: for set s, the recency word at
+	// s*stride and the tags in the ways words after it. A tag word is
+	// the line address + 1 (0 stays "invalid") with the dirty flag in
+	// the top bit.
+	meta []uint64
 
 	// lastTag/lastIdx remember the immediately preceding access (the
 	// meta index of its tag word): the line is guaranteed resident
-	// there (nothing can evict it without going through Access, which
-	// rewrites these), so a repeat access to the same line skips the
-	// way scan. State evolution is bit-identical to the scanning path.
+	// there and is its set's most recently used way (nothing can evict
+	// or outrank it without going through a lookup, which rewrites
+	// these), so a repeat access to the same line only ORs in
+	// dirtiness — it changes no replacement state.
 	lastTag uint64
 	lastIdx uint64
-	// mru hints the most recently touched way per set, checked before
-	// the full way scan. Purely a probe-order hint: the tag is always
-	// verified, so results are identical with or without it.
-	mru []uint8
 
 	// Accesses counts lookups; Misses counts fills; Writebacks counts
 	// dirty evictions (memory write traffic).
 	Accesses, Misses, Writebacks uint64
 }
 
-// New constructs a cache from cfg. It panics on an invalid geometry,
-// which always indicates a programming error in a machine preset.
+// MaxWays is the widest associativity a Cache holds: the recency word
+// keeps one 4-bit way number per way.
+const MaxWays = 16
+
+// New constructs a cache from cfg. It panics on an invalid geometry or
+// more than MaxWays ways, which always indicates a programming error
+// in a machine preset.
 func New(cfg Config) *Cache {
-	if !cfg.Valid() {
+	if !cfg.Valid() || cfg.Ways > MaxWays {
 		panic("cache: invalid geometry for " + cfg.Name)
 	}
 	sets := cfg.Size / cfg.LineSize / cfg.Ways
@@ -82,20 +90,54 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		sets:      uint64(sets),
 		setMask:   uint64(sets - 1),
 		pow2:      sets&(sets-1) == 0,
 		lineShift: shift,
-		meta:      make([]uint64, sets*cfg.Ways*2),
-		mru:       make([]uint8, sets),
+		stride:    uint64(cfg.Ways) + 1,
+		lruShift:  4 * uint(cfg.Ways-1),
+		meta:      make([]uint64, sets*(cfg.Ways+1)),
 	}
+	c.Reset()
+	return c
 }
 
 // dirtyBit marks a dirty line in its tag word. Tags are line+1 with
 // line = addr >> lineShift < 2^58, so the top bit is always free.
 const dirtyBit = 1 << 63
+
+// emptyOrder is the recency word of an empty set: way W-1 first, way 0
+// last, so the first miss fills way 0 — the lowest free way, as a scan
+// for the oldest way with lowest-index tie-breaks would pick.
+func emptyOrder(ways int) uint64 {
+	var r uint64
+	for w := 0; w < ways; w++ {
+		r |= uint64(w) << (4 * uint(ways-1-w))
+	}
+	return r
+}
+
+// toFront moves the way at bit offset s of recency word r to the front,
+// shifting the ways ahead of it back by one nibble.
+func toFront(r uint64, s uint) uint64 {
+	ahead := uint64(1)<<s - 1
+	return r&^(ahead<<4|15) | (r&ahead)<<4 | r>>s&15
+}
+
+// nibbles has a 1 in every nibble of a word.
+const nibbles = 0x1111111111111111
+
+// position returns the bit offset of way w's nibble in recency word r:
+// the lowest zero nibble of r XOR w-in-every-nibble, found without a
+// loop by the borrow trick, which is exact for the lowest zero nibble.
+// The unused nibbles above a narrower cache's ways read as way 0, but
+// they lie above the real one.
+func position(r, w uint64) uint {
+	x := r ^ w*nibbles
+	return uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+}
 
 // LineShift returns log2 of the line size — the shift callers packing
 // AccessBlock records must apply to byte addresses.
@@ -108,19 +150,46 @@ func (c *Cache) Config() Config { return c.cfg }
 // LRU way) and returns true on a hit. write marks the line dirty.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.Accesses++
-	line := addr >> c.lineShift
+	hit, dirty := c.lookup(addr>>c.lineShift, write)
+	if !hit {
+		c.Misses++
+		if dirty {
+			c.Writebacks++
+		}
+	}
+	return hit
+}
+
+// Repeat performs Access(addr, write) when addr falls in the line of
+// the previous access — a hit that changes no replacement state — and
+// reports whether it did. It is small enough to inline, so a caller
+// checks the common repeat before paying for the full call.
+func (c *Cache) Repeat(addr uint64, write bool) bool {
+	if addr>>c.lineShift+1 != c.lastTag {
+		return false
+	}
+	c.Accesses++
+	if write {
+		c.meta[c.lastIdx] |= dirtyBit
+	}
+	return true
+}
+
+// lookup finds line in its set and makes it the set's most recently
+// used way, installing it over the least recently used way on a miss.
+// write marks the line dirty. It returns whether the line was present
+// and, on a miss, whether the evicted line was dirty. It counts
+// nothing.
+func (c *Cache) lookup(line uint64, write bool) (hit, dirtyEvict bool) {
 	tag := line + 1 // 0 stays "invalid"
-	c.clock++
+	wbit := uint64(0)
+	if write {
+		wbit = dirtyBit
+	}
 	meta := c.meta
 	if tag == c.lastTag {
-		w := uint64(0)
-		if write {
-			w = dirtyBit
-		}
-		idx := c.lastIdx
-		meta[idx] |= w
-		meta[idx+uint64(c.cfg.Ways)] = c.clock
-		return true
+		meta[c.lastIdx] |= wbit
+		return true, false
 	}
 	var setNo uint64
 	if c.pow2 {
@@ -128,53 +197,26 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	} else {
 		setNo = line % c.sets
 	}
-	ways := uint64(c.cfg.Ways)
-	set := setNo * ways * 2 // tag words at set..set+ways, stamps follow
-	if idx := set + uint64(c.mru[setNo]); meta[idx]&^dirtyBit == tag {
-		if write {
-			meta[idx] |= dirtyBit
-		}
-		meta[idx+ways] = c.clock
-		c.lastTag, c.lastIdx = tag, idx
-		return true
-	}
-	wayTags := meta[set : set+ways]
-	for w := range wayTags {
-		if wayTags[w]&^dirtyBit == tag {
-			idx := set + uint64(w)
-			if write {
-				meta[idx] |= dirtyBit
-			}
-			meta[idx+ways] = c.clock
-			c.lastTag, c.lastIdx = tag, idx
-			c.mru[setNo] = uint8(w)
-			return true
+	set := setNo * c.stride
+	r := meta[set]
+	tags := meta[set+1 : set+c.stride]
+	// Scan in way order, not recency order: the tag loads then do not
+	// wait on the recency word's, which matters when the set is cold in
+	// the host's caches.
+	for w, t := range tags {
+		if t&^dirtyBit == tag {
+			tags[w] = t | wbit
+			meta[set] = toFront(r, position(r, uint64(w)))
+			c.lastTag, c.lastIdx = tag, set+1+uint64(w)
+			return true, false
 		}
 	}
-	c.Misses++
-	// Evict true-LRU way.
-	stamps := meta[set+ways : set+2*ways]
-	victim := uint64(0)
-	oldest := stamps[0]
-	for w := uint64(1); w < ways; w++ {
-		if stamps[w] < oldest {
-			oldest = stamps[w]
-			victim = w
-		}
-	}
-	vIdx := set + victim
-	if old := meta[vIdx]; old != 0 && old&dirtyBit != 0 {
-		c.Writebacks++
-	}
-	nw := tag
-	if write {
-		nw |= dirtyBit
-	}
-	meta[vIdx] = nw
-	stamps[victim] = c.clock
-	c.lastTag, c.lastIdx = tag, vIdx
-	c.mru[setNo] = uint8(victim)
-	return false
+	w := r >> c.lruShift & 15
+	dirtyEvict = tags[w]&dirtyBit != 0
+	tags[w] = tag | wbit
+	meta[set] = toFront(r, c.lruShift)
+	c.lastTag, c.lastIdx = tag, set+1+w
+	return false, dirtyEvict
 }
 
 // A Rec is one packed access run for AccessBlock: the cache-line
@@ -184,10 +226,10 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // with the write flag OR-ed over the run. Packing drops everything
 // Access recomputes per call (offset bits, op class, sizes) and
 // run-merging drops the accesses themselves: after the first access
-// of a run the line is resident, so the rest can only refresh its LRU
-// stamp, bump the clock and counters, and accumulate dirtiness — all
-// O(1) on the merged record, and exactly what Access would have done
-// one call at a time.
+// of a run the line is its set's most recently used way, so the rest
+// can only bump the counters and accumulate dirtiness — O(1) on the
+// merged record, and exactly what Access would have done one call at
+// a time.
 type Rec = uint64
 
 const (
@@ -243,9 +285,8 @@ func RecWrite(r Rec) bool { return r&1 != 0 }
 // replacement state — to calling Access(line<<LineShift, write) for
 // each record in order, but with the per-call overhead hoisted out of
 // the loop: set indexing uses the power-of-two mask instead of %,
-// array bases and the LRU clock live in locals (one bounds-check
-// region per set scan), and the demand counters accumulate per block
-// instead of per access.
+// array bases live in locals (one bounds-check region per set scan),
+// and the demand counters accumulate per block instead of per access.
 //
 // The sweep experiments fan 30 of these out per block; each cache's
 // state is touched by exactly one AccessBlock call at a time.
@@ -253,26 +294,20 @@ func (c *Cache) AccessBlock(recs []Rec) {
 	if len(recs) == 0 {
 		return
 	}
-	ways := uint64(c.cfg.Ways)
-	meta, mru := c.meta, c.mru
+	meta, stride, lruShift := c.meta, c.stride, c.lruShift
 	sets, setMask, pow2 := c.sets, c.setMask, c.pow2
-	clock := c.clock
 	lastTag, lastIdx := c.lastTag, c.lastIdx
 	var accesses, misses, writebacks uint64
 	for _, rec := range recs {
 		line := (rec >> 1) & recLineMask
 		wbit := (rec & 1) << 63 // dirtyBit iff the run wrote
 		tag := line + 1         // 0 stays "invalid"
-		// A record's whole run retires here: the clock advances once
-		// per represented access and the stamp below lands on the
-		// run's final clock value, exactly as per-access replay would
-		// leave it.
-		run := rec >> recCountShift
-		clock += run + 1
-		accesses += run + 1
+		// A record's whole run retires here: after its first access
+		// the line is the set's most recently used way, so the rest
+		// of the run only counts and accumulates dirtiness.
+		accesses += rec>>recCountShift + 1
 		if tag == lastTag {
 			meta[lastIdx] |= wbit
-			meta[lastIdx+ways] = clock
 			continue
 		}
 		var setNo uint64
@@ -281,50 +316,31 @@ func (c *Cache) AccessBlock(recs []Rec) {
 		} else {
 			setNo = line % sets
 		}
-		set := setNo * ways * 2 // tag words at set..set+ways, stamps follow
-		if idx := set + uint64(mru[setNo]); meta[idx]&^dirtyBit == tag {
-			meta[idx] |= wbit
-			meta[idx+ways] = clock
-			lastTag, lastIdx = tag, idx
-			continue
-		}
-		wayTags := meta[set : set+ways]
-		hit := false
-		for w := range wayTags {
-			if wayTags[w]&^dirtyBit == tag {
-				idx := set + uint64(w)
-				meta[idx] |= wbit
-				meta[idx+ways] = clock
-				lastTag, lastIdx = tag, idx
-				mru[setNo] = uint8(w)
-				hit = true
+		set := setNo * stride
+		r := meta[set]
+		tags := meta[set+1 : set+stride]
+		w := uint64(len(tags))
+		for k, t := range tags {
+			if t&^dirtyBit == tag {
+				w = uint64(k)
 				break
 			}
 		}
-		if hit {
-			continue
-		}
-		misses++
-		// Evict true-LRU way.
-		stamps := meta[set+ways : set+2*ways]
-		victim := uint64(0)
-		oldest := stamps[0]
-		for w := uint64(1); w < ways; w++ {
-			if stamps[w] < oldest {
-				oldest = stamps[w]
-				victim = w
+		s := lruShift
+		if w < uint64(len(tags)) {
+			s = position(r, w)
+		} else {
+			misses++
+			w = r >> s & 15
+			if tags[w]&dirtyBit != 0 {
+				writebacks++
 			}
+			tags[w] = tag
 		}
-		vIdx := set + victim
-		if meta[vIdx]&dirtyBit != 0 {
-			writebacks++
-		}
-		meta[vIdx] = tag | wbit
-		stamps[victim] = clock
-		lastTag, lastIdx = tag, vIdx
-		mru[setNo] = uint8(victim)
+		tags[w] |= wbit
+		meta[set] = toFront(r, s)
+		lastTag, lastIdx = tag, set+1+w
 	}
-	c.clock = clock
 	c.lastTag, c.lastIdx = lastTag, lastIdx
 	c.Accesses += accesses
 	c.Misses += misses
@@ -335,9 +351,7 @@ func (c *Cache) AccessBlock(recs []Rec) {
 // the fill path used by the prefetcher. Returns true if the line was
 // already present.
 func (c *Cache) Touch(addr uint64, write bool) bool {
-	a, m, w := c.Accesses, c.Misses, c.Writebacks
-	hit := c.Access(addr, write)
-	c.Accesses, c.Misses, c.Writebacks = a, m, w
+	hit, _ := c.lookup(addr>>c.lineShift, write)
 	return hit
 }
 
@@ -351,13 +365,13 @@ func (c *Cache) MissRatio() float64 {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
+	empty := emptyOrder(c.cfg.Ways)
 	for i := range c.meta {
 		c.meta[i] = 0
 	}
-	for i := range c.mru {
-		c.mru[i] = 0
+	for set := uint64(0); set < uint64(len(c.meta)); set += c.stride {
+		c.meta[set] = empty
 	}
-	c.clock = 0
 	c.lastTag, c.lastIdx = 0, 0
 	c.Accesses, c.Misses, c.Writebacks = 0, 0, 0
 }
@@ -405,7 +419,8 @@ func NewHierarchy(l1i, l1d, l2, l3 Config, memLatency int) *Hierarchy {
 // Fetch performs an instruction fetch of pc and returns the level that
 // hit (LvlL1..LvlMem). A demand miss triggers the next-line
 // instruction prefetcher (all modelled front ends have one), so
-// straight-line cold code pays one exposed fill per two lines.
+// straight-line cold code pays one exposed fill per two lines. The
+// next line is the next L1I line.
 func (h *Hierarchy) Fetch(pc uint64) int {
 	if h.L1I.Access(pc, false) {
 		return LvlL1
@@ -428,7 +443,7 @@ func (h *Hierarchy) Fetch(pc uint64) int {
 			}
 		}
 	}
-	h.prefetch(pc + 64)
+	h.prefetch(pc + uint64(h.L1I.cfg.LineSize))
 	return level
 }
 
@@ -444,7 +459,7 @@ func (h *Hierarchy) prefetch(addr uint64) {
 // Data performs a data access and returns the level that hit. A demand
 // miss triggers the next-line data prefetcher (the DCU/L2 streamers of
 // the modelled Xeon), so sequential streams expose roughly one fill in
-// two.
+// two. The next lines are the next two L1D lines, at every level.
 func (h *Hierarchy) Data(addr uint64, write bool) int {
 	if h.L1D.Access(addr, write) {
 		return LvlL1
@@ -469,13 +484,15 @@ func (h *Hierarchy) Data(addr uint64, write bool) int {
 	}
 	// Degree-2 streamer: the L2/DCU prefetchers of the modelled
 	// platforms run ahead of sequential streams.
-	h.L1D.Touch(addr+64, false)
-	h.L1D.Touch(addr+128, false)
-	h.L2.Touch(addr+64, false)
-	h.L2.Touch(addr+128, false)
+	next := addr + uint64(h.L1D.cfg.LineSize)
+	after := next + uint64(h.L1D.cfg.LineSize)
+	h.L1D.Touch(next, false)
+	h.L1D.Touch(after, false)
+	h.L2.Touch(next, false)
+	h.L2.Touch(after, false)
 	if h.L3 != nil {
-		h.L3.Touch(addr+64, false)
-		h.L3.Touch(addr+128, false)
+		h.L3.Touch(next, false)
+		h.L3.Touch(after, false)
 	}
 	return level
 }

@@ -130,12 +130,19 @@ func TestReset(t *testing.T) {
 }
 
 func TestInvalidGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid geometry did not panic")
-		}
-	}()
-	New(Config{Name: "bad", Size: 1000, Ways: 3, LineSize: 64})
+	for _, cfg := range []Config{
+		{Name: "bad", Size: 1000, Ways: 3, LineSize: 64},
+		{Name: "17-way", Size: 17 * 64, Ways: 17, LineSize: 64}, // wider than the recency word
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: invalid geometry did not panic", cfg.Name)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 // TestValidNoOverflow pins that Valid forms no Ways*LineSize product:
@@ -183,6 +190,30 @@ func TestHierarchyPrefetchNextLine(t *testing.T) {
 	h.Data(0x200000, false) // miss; prefetches 0x200040
 	if lvl := h.Data(0x200040, false); lvl != LvlL1 {
 		t.Fatalf("next line not prefetched into L1 (level %d)", lvl)
+	}
+}
+
+// TestHierarchyPrefetchFollowsLineSize pins that both next-line
+// prefetchers step by the L1 line size, not a fixed 64 bytes: with
+// 32-byte lines the line right after a demand miss must be resident.
+func TestHierarchyPrefetchFollowsLineSize(t *testing.T) {
+	h := NewHierarchy(
+		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 32, Latency: 4},
+		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 32, Latency: 4},
+		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 32, Latency: 10},
+		Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 32, Latency: 38},
+		190)
+	if lvl := h.Data(0x200000, false); lvl != LvlMem {
+		t.Fatalf("cold data access hit level %d, want memory", lvl)
+	}
+	if lvl := h.Data(0x200020, false); lvl != LvlL1 {
+		t.Fatalf("next 32-byte data line not prefetched into L1 (level %d)", lvl)
+	}
+	if lvl := h.Fetch(0x400000); lvl != LvlMem {
+		t.Fatalf("cold fetch hit level %d, want memory", lvl)
+	}
+	if lvl := h.Fetch(0x400020); lvl != LvlL1 {
+		t.Fatalf("next 32-byte code line not prefetched into L1 (level %d)", lvl)
 	}
 }
 

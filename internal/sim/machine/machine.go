@@ -75,6 +75,12 @@ type Machine struct {
 
 	codeLines bitmap // touched text-segment cache lines
 	dataPages bitmap // touched heap/stack pages
+	// lastCode and lastPage are the code line and data page whose
+	// footprint bits were set last; a repeat needs no bitmap store.
+	// Their zero values name addresses below every tracked region.
+	lastCode, lastPage uint64
+
+	events []pipeline.Event // pass 1's per-block output, reused
 }
 
 // New builds a machine from cfg.
@@ -108,108 +114,66 @@ func New(cfg Config) *Machine {
 // experiment to run the same stream against both organizations).
 func (m *Machine) SetPredictor(p branch.Predictor) { m.BP = p }
 
-// Inst implements trace.Probe.
-func (m *Machine) Inst(i *isa.Inst) {
-	c := &m.C
-	c.Insts++
-	c.ByOp[i.Op]++
+// Inst implements trace.Probe: InstBlock over a block of one.
+func (m *Machine) Inst(i *isa.Inst) { m.InstBlock([]isa.Inst{*i}) }
 
-	ilevel := m.H.Fetch(i.PC)
-	itlbExtra := 0
-	if m.ITLB.Access(i.PC) {
-		if m.STLB.Access(i.PC) {
-			itlbExtra = m.STLB.Config().WalkLatency
-			c.ITLBWalks++
-		} else {
-			itlbExtra = stlbHitLatency
-		}
-	}
-	if i.PC >= mem.CodeBase && i.PC < mem.CodeLimit {
-		m.codeLines.set((i.PC - mem.CodeBase) / mem.LineSize)
-	}
-
-	mispredict := false
-	frontExtra := itlbExtra
-	if i.Op == isa.Branch {
-		c.Branches++
-		if i.Taken {
-			c.Taken++
-		}
-		var redirect bool
-		mispredict, redirect = m.BP.Access(i)
-		if mispredict {
-			c.Mispredict++
-		}
-		if redirect {
-			frontExtra += btbRedirectCycles
-		}
-	}
-
-	dlevel := 0
-	dtlbExtra := 0
-	if i.Op == isa.Load || i.Op == isa.Store {
-		dlevel = m.H.Data(i.Addr, i.Op == isa.Store)
-		if m.DTLB.Access(i.Addr) {
-			if m.STLB.Access(i.Addr) {
-				dtlbExtra = m.STLB.Config().WalkLatency
-				c.DTLBWalks++
-			} else {
-				dtlbExtra = stlbHitLatency
-			}
-		}
-		if i.Op == isa.Load {
-			c.LoadBytes += uint64(i.Size)
-		} else {
-			c.StoreBytes += uint64(i.Size)
-		}
-		if i.Addr >= mem.HeapBase && i.Addr < mem.HeapLimit {
-			m.dataPages.set((i.Addr - mem.HeapBase) / mem.PageSize)
-		}
-	}
-
-	m.Pipe.Step(i, ilevel, dlevel, mispredict, frontExtra, dtlbExtra)
-}
-
-// InstBlock implements trace.BlockProbe. The pipeline, predictor and
-// TLB models are inherently sequential, so the block is consumed in
-// order; the block path instead hoists the bookkeeping out of the
-// per-instruction loop — sub-model pointers and the walk latency load
-// once per block, the event counters accumulate in locals and flush
-// into Counters once per block. The models see the same calls in the
-// same order as per-instruction delivery, so state and counters are
-// bit-identical; only how the tallies are kept changes.
+// InstBlock implements trace.BlockProbe in two passes. The memory
+// system and the branch predictor never depend on timing, so pass 1
+// runs the caches, TLBs, predictor, event counters and footprint bits
+// over the whole block, recording one pipeline.Event per instruction,
+// and pass 2 runs the timing model over the block in one
+// pipeline.StepBlock call. Every model sees the same calls in the same
+// order as per-instruction delivery, so state and counters are
+// bit-identical whatever the block size.
+//
+// Pass 1 checks the inlinable repeat paths (cache.Cache.Repeat,
+// tlb.TLB.Repeat) before each full first-level lookup: most fetches,
+// and many data accesses, fall in the previous access's line or page.
+// A repeat hit at L1 is exactly what Fetch or Data would return, with
+// no prefetch, since both prefetch only after an L1 miss.
 func (m *Machine) InstBlock(block []isa.Inst) {
 	if len(block) == 0 {
 		return
 	}
-	h, itlb, dtlb, stlb, bp, pipe := m.H, m.ITLB, m.DTLB, m.STLB, m.BP, m.Pipe
+	if cap(m.events) < len(block) {
+		m.events = make([]pipeline.Event, len(block))
+	}
+	events := m.events[:len(block)]
+	h, itlb, dtlb, stlb, bp := m.H, m.ITLB, m.DTLB, m.STLB, m.BP
+	l1i, l1d := h.L1I, h.L1D
 	walkLatency := stlb.Config().WalkLatency
+	lastCode, lastPage := m.lastCode, m.lastPage
 	var byOp [isa.NumOps]uint64
-	var branches, taken, mispredicts uint64
+	var taken, mispredicts uint64
 	var loadBytes, storeBytes uint64
 	var itlbWalks, dtlbWalks uint64
 	for k := range block {
-		i := &block[k]
+		i, ev := &block[k], &events[k]
 		byOp[i.Op]++
 
-		ilevel := h.Fetch(i.PC)
-		itlbExtra := 0
-		if itlb.Access(i.PC) {
-			if stlb.Access(i.PC) {
-				itlbExtra = walkLatency
+		pc := i.PC
+		ilevel := cache.LvlL1
+		if !l1i.Repeat(pc, false) {
+			ilevel = h.Fetch(pc)
+		}
+		frontExtra := 0
+		if !itlb.Repeat(pc) && itlb.Access(pc) {
+			if stlb.Access(pc) {
+				frontExtra = walkLatency
 				itlbWalks++
 			} else {
-				itlbExtra = stlbHitLatency
+				frontExtra = stlbHitLatency
 			}
 		}
-		if i.PC >= mem.CodeBase && i.PC < mem.CodeLimit {
-			m.codeLines.set((i.PC - mem.CodeBase) / mem.LineSize)
+		if line := pc / mem.LineSize; line != lastCode {
+			lastCode = line
+			if pc >= mem.CodeBase && pc < mem.CodeLimit {
+				m.codeLines.set((pc - mem.CodeBase) / mem.LineSize)
+			}
 		}
 
 		mispredict := false
-		frontExtra := itlbExtra
 		if i.Op == isa.Branch {
-			branches++
 			if i.Taken {
 				taken++
 			}
@@ -226,39 +190,52 @@ func (m *Machine) InstBlock(block []isa.Inst) {
 		dlevel := 0
 		dtlbExtra := 0
 		if i.Op == isa.Load || i.Op == isa.Store {
-			dlevel = h.Data(i.Addr, i.Op == isa.Store)
-			if dtlb.Access(i.Addr) {
-				if stlb.Access(i.Addr) {
+			addr, store := i.Addr, i.Op == isa.Store
+			dlevel = cache.LvlL1
+			if !l1d.Repeat(addr, store) {
+				dlevel = h.Data(addr, store)
+			}
+			if !dtlb.Repeat(addr) && dtlb.Access(addr) {
+				if stlb.Access(addr) {
 					dtlbExtra = walkLatency
 					dtlbWalks++
 				} else {
 					dtlbExtra = stlbHitLatency
 				}
 			}
-			if i.Op == isa.Load {
-				loadBytes += uint64(i.Size)
-			} else {
+			if store {
 				storeBytes += uint64(i.Size)
+			} else {
+				loadBytes += uint64(i.Size)
 			}
-			if i.Addr >= mem.HeapBase && i.Addr < mem.HeapLimit {
-				m.dataPages.set((i.Addr - mem.HeapBase) / mem.PageSize)
+			if page := addr / mem.PageSize; page != lastPage {
+				lastPage = page
+				if addr >= mem.HeapBase && addr < mem.HeapLimit {
+					m.dataPages.set((addr - mem.HeapBase) / mem.PageSize)
+				}
 			}
 		}
 
-		pipe.Step(i, ilevel, dlevel, mispredict, frontExtra, dtlbExtra)
+		// Field stores, not a composite literal: the literal is built
+		// on the stack and copied.
+		ev.FrontExtra, ev.DTLBExtra = frontExtra, dtlbExtra
+		ev.ILevel, ev.DLevel, ev.Mispredict = uint8(ilevel), uint8(dlevel), mispredict
 	}
+	m.lastCode, m.lastPage = lastCode, lastPage
 	c := &m.C
 	c.Insts += uint64(len(block))
 	for op, n := range byOp {
 		c.ByOp[op] += n
 	}
-	c.Branches += branches
+	c.Branches += byOp[isa.Branch]
 	c.Taken += taken
 	c.Mispredict += mispredicts
 	c.LoadBytes += loadBytes
 	c.StoreBytes += storeBytes
 	c.ITLBWalks += itlbWalks
 	c.DTLBWalks += dtlbWalks
+
+	m.Pipe.StepBlock(block, events)
 }
 
 // stlbHitLatency is the extra latency of a first-level TLB miss that

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -146,10 +147,15 @@ func NewSweep(sizesKB []int) *Sweep {
 // concrete-cache reference the stack-distance engine is tested
 // against at non-paper associativities and line sizes. ways and
 // lineBytes of 0 select the defaults (8 ways, 64-byte lines);
-// CheckSweep rejects, never rounds, a geometry it cannot build.
+// CheckSweep rejects, never rounds, a geometry it cannot build, and
+// ways beyond cache.MaxWays are rejected too (the stack-distance
+// engine has no such cap).
 func NewSweepSpec(sizesKB []int, ways, lineBytes int) (*Sweep, error) {
 	if err := CheckSweep(lineBytes, SweepGeometry{SizesKB: sizesKB, Ways: ways}); err != nil {
 		return nil, err
+	}
+	if ways > cache.MaxWays {
+		return nil, fmt.Errorf("machine: sweep ways %d > %d, the widest concrete cache", ways, cache.MaxWays)
 	}
 	if ways == 0 {
 		ways = DefaultSweepWays

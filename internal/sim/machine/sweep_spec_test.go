@@ -72,6 +72,8 @@ func TestNewSweepSpecRejectsBadGeometry(t *testing.T) {
 		{[]int{16, 1 << 54}, 0, 0}, // kb<<10 wraps to 0
 		{[]int{16, 1 << 30}, 0, 0}, // 2^34 lines: over the sweep cap
 		{[]int{-16}, 0, 0},         // non-positive size
+		{[]int{17}, 17, 0},         // wider than a concrete cache holds
+		{[]int{16}, 32, 0},         // likewise
 	}
 	for _, c := range cases {
 		if _, err := NewSweepSpec(c.sizes, c.ways, c.line); err == nil {

@@ -51,6 +51,13 @@ type Model struct {
 	ready [isa.NumRegs]uint64 // register ready cycle
 	rob   []uint64            // ring buffer of commit cycles
 	robAt int
+	// robEmpty counts the dispatches still to come that must see an
+	// empty window after a misprediction flush. The flush itself
+	// stores nothing: the slots those dispatches read are each
+	// rewritten by their own commit before any later dispatch reads
+	// them, and the flushing instruction's commit lands in its own
+	// slot, so a flush leaves Window-1 reads to answer as empty.
+	robEmpty int
 
 	nextFetchCycle uint64
 	fetchedInCycle int
@@ -81,6 +88,25 @@ type Model struct {
 	MLPSum, MLPCount uint64
 }
 
+// Event is what the timing model learns about one instruction from the
+// memory system and the branch predictor. Neither depends on timing,
+// so a caller can run them over a whole block first and hand the
+// model the block's events in one StepBlock call.
+type Event struct {
+	// FrontExtra is the extra front-end cycles: translation (0 on a
+	// first-level TLB hit, small on an STLB hit, the full walk on an
+	// STLB miss) plus any BTB redirect bubble.
+	FrontExtra int
+	// DTLBExtra is the data translation's extra cycles, likewise.
+	DTLBExtra int
+	// ILevel is the cache level that served the fetch and DLevel the
+	// one that served the data access (0 if none), 1..4 for L1, L2, L3
+	// and memory.
+	ILevel, DLevel uint8
+	// Mispredict reports the branch outcome.
+	Mispredict bool
+}
+
 // New constructs a pipeline model.
 func New(cfg Config) *Model {
 	if cfg.Window < 1 {
@@ -92,155 +118,184 @@ func New(cfg Config) *Model {
 // Config returns the core configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Step advances the model by one instruction.
-//
-// ilevel is the cache level that served the instruction fetch and
-// dlevel the level that served the data access (0 if none); mispredict
-// reports the branch outcome; itlbExtra and dtlbExtra are the extra
-// translation cycles (0 on a first-level TLB hit, small on an STLB
-// hit, the full walk on an STLB miss).
+// Step advances the model by one instruction: StepBlock over a block
+// of one, with the event's fields passed singly.
 func (m *Model) Step(i *isa.Inst, ilevel, dlevel int, mispredict bool, itlbExtra, dtlbExtra int) {
+	m.StepBlock([]isa.Inst{*i}, []Event{{FrontExtra: itlbExtra, DTLBExtra: dtlbExtra, ILevel: uint8(ilevel), DLevel: uint8(dlevel), Mispredict: mispredict}})
+}
+
+// StepBlock advances the model over a block of instructions, events[k]
+// describing block[k]. The scalar state lives in locals for the whole
+// block, so the loop keeps it in registers.
+func (m *Model) StepBlock(block []isa.Inst, events []Event) {
+	if len(block) == 0 {
+		return
+	}
 	cfg := &m.cfg
+	events = events[:len(block)]
+	ready, depth, missEnds := &m.ready, &m.depth, &m.missEnds
+	rob, robAt, robEmpty := m.rob, m.robAt, m.robEmpty
+	window := len(rob)
+	nextFetch, fetched := m.nextFetchCycle, m.fetchedInCycle
+	lastCommit, commits := m.lastCommitCycle, m.commitsInCycle
+	lastExec := m.lastExecStart
+	maxDepth, winStart, winInsts, chainTotal := m.maxDepth, m.winStart, m.winInsts, m.chainTotal
+	missAt := m.missAt
+	imissStall, itlbStall, mispredictStall := m.IMissStall, m.ITLBStall, m.MispredictStall
+	mlpSum, mlpCount := m.MLPSum, m.MLPCount
+	fetchWidth, commitWidth, inOrder := cfg.FetchWidth, cfg.CommitWidth, cfg.InOrder
+	penalty := uint64(cfg.MispredictPenalty)
+	var c uint64
+	for k := range block {
+		i, ev := &block[k], &events[k]
 
-	// --- Fetch ---
-	if m.fetchedInCycle >= cfg.FetchWidth {
-		m.nextFetchCycle++
-		m.fetchedInCycle = 0
-	}
-	fc := m.nextFetchCycle
-	if ilevel > 1 {
-		// The decoupled fetch queue absorbs part of an instruction
-		// fill: decode keeps draining buffered instructions while the
-		// miss is outstanding, so only ~60% of the fill latency is
-		// exposed.
-		stall := uint64(fillLatency(cfg, ilevel)) * 3 / 5
-		fc += stall
-		m.IMissStall += stall
-		m.nextFetchCycle = fc
-		m.fetchedInCycle = 0
-	}
-	if itlbExtra > 0 {
-		stall := uint64(itlbExtra)
-		fc += stall
-		m.ITLBStall += stall
-		m.nextFetchCycle = fc
-		m.fetchedInCycle = 0
-	}
-	m.fetchedInCycle++
-
-	// --- Dispatch: window occupancy ---
-	oldest := m.rob[m.robAt]
-	dispatch := fc
-	if oldest > dispatch {
-		dispatch = oldest
-	}
-
-	// --- Execute: operand readiness ---
-	start := dispatch
-	if r := m.ready[i.Src1]; r > start {
-		start = r
-	}
-	if r := m.ready[i.Src2]; r > start {
-		start = r
-	}
-	if cfg.InOrder {
-		if m.lastExecStart > start {
-			start = m.lastExecStart
+		// --- Fetch ---
+		if fetched >= fetchWidth {
+			nextFetch++
+			fetched = 0
 		}
-		m.lastExecStart = start
-	}
-	lat := m.latency(i, dlevel, dtlbExtra)
-	done := start + lat
+		fc := nextFetch
+		if ev.ILevel > 1 {
+			// The decoupled fetch queue absorbs part of an instruction
+			// fill: decode keeps draining buffered instructions while
+			// the miss is outstanding, so only ~60% of the fill latency
+			// is exposed.
+			stall := uint64(fillLatency(cfg, int(ev.ILevel))) * 3 / 5
+			fc += stall
+			imissStall += stall
+			nextFetch = fc
+			fetched = 0
+		}
+		if ev.FrontExtra > 0 {
+			stall := uint64(ev.FrontExtra)
+			fc += stall
+			itlbStall += stall
+			nextFetch = fc
+			fetched = 0
+		}
+		fetched++
 
-	if i.Dst != isa.NoReg {
-		m.ready[i.Dst] = done
-		d := m.depth[i.Src1]
-		if m.depth[i.Src2] > d {
-			d = m.depth[i.Src2]
+		// --- Dispatch: window occupancy ---
+		dispatch := fc
+		if robEmpty > 0 {
+			robEmpty--
+		} else if oldest := rob[robAt]; oldest > dispatch {
+			dispatch = oldest
 		}
-		d++
-		m.depth[i.Dst] = d
-		if d > m.maxDepth {
-			m.maxDepth = d
-		}
-	}
-	m.winInsts++
-	if m.winInsts == ilpWindow {
-		grow := m.maxDepth - m.winStart
-		if grow == 0 {
-			grow = 1
-		}
-		m.chainTotal += grow
-		m.winStart = m.maxDepth
-		m.winInsts = 0
-	}
 
-	// MLP: long-latency loads overlapping in flight.
-	if i.Op == isa.Load && dlevel >= 3 {
-		overlap := uint64(1)
-		for _, end := range m.missEnds {
-			if end > start {
-				overlap++
+		// --- Execute: operand readiness ---
+		start := dispatch
+		if r := ready[i.Src1]; r > start {
+			start = r
+		}
+		if r := ready[i.Src2]; r > start {
+			start = r
+		}
+		if inOrder {
+			if lastExec > start {
+				start = lastExec
+			}
+			lastExec = start
+		}
+		dlevel := int(ev.DLevel)
+		done := start + latency(cfg, i.Op, dlevel, ev.DTLBExtra)
+
+		if i.Dst != isa.NoReg {
+			ready[i.Dst] = done
+			d := depth[i.Src1]
+			if depth[i.Src2] > d {
+				d = depth[i.Src2]
+			}
+			d++
+			depth[i.Dst] = d
+			if d > maxDepth {
+				maxDepth = d
 			}
 		}
-		m.missEnds[m.missAt] = done
-		m.missAt = (m.missAt + 1) % len(m.missEnds)
-		m.MLPSum += overlap
-		m.MLPCount++
-	}
-
-	// --- Branch resolution ---
-	if mispredict {
-		// The redirect waits for the branch to resolve, but a real
-		// out-of-order core hides most of a long resolution (branches
-		// resolve early out of the scheduler and wrong-path fetch
-		// overlaps), so the exposed wait beyond fetch is bounded; and
-		// the flush empties the window, so earlier back-pressure does
-		// not also charge the redirect.
-		resolve := done
-		const maxExposedResolution = 30
-		if resolve > fc+maxExposedResolution {
-			resolve = fc + maxExposedResolution
+		winInsts++
+		if winInsts == ilpWindow {
+			grow := maxDepth - winStart
+			if grow == 0 {
+				grow = 1
+			}
+			chainTotal += grow
+			winStart = maxDepth
+			winInsts = 0
 		}
-		redirect := resolve + uint64(cfg.MispredictPenalty)
-		if redirect > m.nextFetchCycle {
-			m.MispredictStall += redirect - m.nextFetchCycle
-			m.nextFetchCycle = redirect
-			m.fetchedInCycle = 0
+
+		// MLP: long-latency loads overlapping in flight.
+		if i.Op == isa.Load && dlevel >= 3 {
+			overlap := uint64(1)
+			for _, end := range missEnds {
+				if end > start {
+					overlap++
+				}
+			}
+			missEnds[missAt] = done
+			missAt = (missAt + 1) % len(missEnds)
+			mlpSum += overlap
+			mlpCount++
 		}
-		// Flush: the window is empty after a misprediction.
-		for k := range m.rob {
-			m.rob[k] = 0
+
+		// --- Branch resolution ---
+		if ev.Mispredict {
+			// The redirect waits for the branch to resolve, but a real
+			// out-of-order core hides most of a long resolution
+			// (branches resolve early out of the scheduler and
+			// wrong-path fetch overlaps), so the exposed wait beyond
+			// fetch is bounded; and the flush empties the window, so
+			// earlier back-pressure does not also charge the redirect.
+			resolve := done
+			const maxExposedResolution = 30
+			if resolve > fc+maxExposedResolution {
+				resolve = fc + maxExposedResolution
+			}
+			redirect := resolve + penalty
+			if redirect > nextFetch {
+				mispredictStall += redirect - nextFetch
+				nextFetch = redirect
+				fetched = 0
+			}
+			// Flush: the window is empty after a misprediction.
+			robEmpty = window - 1
+		}
+
+		// --- Commit ---
+		c = done
+		if c < lastCommit {
+			c = lastCommit
+		}
+		if c == lastCommit {
+			commits++
+			if commits > commitWidth {
+				c++
+				commits = 1
+			}
+		} else {
+			commits = 1
+		}
+		lastCommit = c
+
+		rob[robAt] = c
+		if robAt++; robAt == window {
+			robAt = 0
 		}
 	}
-
-	// --- Commit ---
-	c := done
-	if c < m.lastCommitCycle {
-		c = m.lastCommitCycle
-	}
-	if c == m.lastCommitCycle {
-		m.commitsInCycle++
-		if m.commitsInCycle > cfg.CommitWidth {
-			c++
-			m.commitsInCycle = 1
-		}
-	} else {
-		m.commitsInCycle = 1
-	}
-	m.lastCommitCycle = c
-
-	m.rob[m.robAt] = c
-	m.robAt = (m.robAt + 1) % cfg.Window
-
-	m.Insts++
+	m.robAt, m.robEmpty = robAt, robEmpty
+	m.nextFetchCycle, m.fetchedInCycle = nextFetch, fetched
+	m.lastCommitCycle, m.commitsInCycle = lastCommit, commits
+	m.lastExecStart = lastExec
+	m.maxDepth, m.winStart, m.winInsts, m.chainTotal = maxDepth, winStart, winInsts, chainTotal
+	m.missAt = missAt
+	m.IMissStall, m.ITLBStall, m.MispredictStall = imissStall, itlbStall, mispredictStall
+	m.MLPSum, m.MLPCount = mlpSum, mlpCount
+	m.Insts += uint64(len(block))
 	m.Cycles = c
 }
 
-func (m *Model) latency(i *isa.Inst, dlevel, dtlbExtra int) uint64 {
-	cfg := &m.cfg
+func latency(cfg *Config, op isa.Op, dlevel, dtlbExtra int) uint64 {
 	var lat int
-	switch i.Op {
+	switch op {
 	case isa.Load:
 		lat = cfg.LoadLat[dlevel] + dtlbExtra
 	case isa.Store:

@@ -9,12 +9,12 @@
 // because a W-way true-LRU set-associative cache hits an access exactly
 // when the line is among the W most recently touched distinct lines of
 // its set (LRU's inclusion property), i.e. when its per-set stack depth
-// is < W. The concrete cache.Cache model satisfies this precisely: its
-// LRU stamps are strictly increasing (no ties among valid ways) and
-// invalid ways fill before any victim is chosen (stamp 0 is older than
-// any real stamp), so its resident set is always the W most recent
-// distinct lines and its integer Accesses/Misses counters — and hence
-// the float64 miss ratios — match this accounting bit for bit.
+// is < W. The concrete cache.Cache model satisfies this precisely: each
+// set's recency word orders its ways exactly from most to least
+// recently used, and an empty set's ways all fill before any victim is
+// chosen, so its resident set is always the W most recent distinct
+// lines and its integer Accesses/Misses counters — and hence the
+// float64 miss ratios — match this accounting bit for bit.
 package stackdist
 
 import (

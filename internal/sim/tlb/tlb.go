@@ -29,8 +29,10 @@ type TLB struct {
 
 	// lastTag/lastIdx remember the immediately preceding translation;
 	// the entry is guaranteed resident (only Access evicts, and it
-	// rewrites these), so repeat accesses to the same page skip the way
-	// scan. State evolution is identical to the scanning path.
+	// rewrites these) and already holds the newest stamp, so a repeat
+	// access to the same page skips the way scan and leaves the clock
+	// and stamps alone: their order, which is all replacement reads,
+	// is the same either way.
 	lastTag uint64
 	lastIdx uint64
 
@@ -60,11 +62,10 @@ func (t *TLB) Access(addr uint64) bool {
 	t.Accesses++
 	page := mem.PageOf(addr)
 	tag := page + 1
-	t.clock++
 	if tag == t.lastTag {
-		t.stamp[t.lastIdx] = t.clock
 		return false
 	}
+	t.clock++
 	set := (page % t.sets) * uint64(t.cfg.Ways)
 	ways := t.tags[set : set+uint64(t.cfg.Ways)]
 	for w := range ways {
@@ -87,6 +88,18 @@ func (t *TLB) Access(addr uint64) bool {
 	t.tags[victim] = tag
 	t.stamp[victim] = t.clock
 	t.lastTag, t.lastIdx = tag, victim
+	return true
+}
+
+// Repeat performs Access(addr) when addr falls in the page of the
+// previous translation — a hit — and reports whether it did. It is
+// small enough to inline, so a caller checks the common repeat before
+// paying for the full call.
+func (t *TLB) Repeat(addr uint64) bool {
+	if mem.PageOf(addr)+1 != t.lastTag {
+		return false
+	}
+	t.Accesses++
 	return true
 }
 

@@ -147,9 +147,7 @@ func (s *Stream) Emit(e *Emitter, rtn *Routine, off uint64, n int) {
 				// target (virtual dispatch is overwhelmingly
 				// monomorphic per call site).
 				tgt := rtn.Base + (xrand.Hash64(e.pc)%rtn.Size)&^(isa.InstBytes-1)
-				e.inst = isa.Inst{Op: isa.Branch, Kind: isa.BrIndirectJump, Taken: true, Target: tgt, Src1: last}
-				e.inst.PC = e.pc
-				e.send()
+				e.put(isa.Branch, isa.BrIndirectJump, true, e.pc, 0, tgt, 0, isa.NoReg, last, isa.NoReg)
 				e.pc = tgt
 				continue
 			}
@@ -219,9 +217,7 @@ func (s *Stream) branch(e *Emitter, dep isa.Reg) {
 		skip = 24 + int(h>>20)%40
 	}
 	target := e.pc + uint64((skip+1)*isa.InstBytes)
-	e.inst = isa.Inst{Op: isa.Branch, Kind: isa.BrCond, Taken: taken, Target: target, Src1: dep}
-	e.inst.PC = e.pc
-	e.send()
+	e.put(isa.Branch, isa.BrCond, taken, e.pc, 0, target, 0, isa.NoReg, dep, isa.NoReg)
 	if taken {
 		e.pc = target
 	} else {

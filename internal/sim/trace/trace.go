@@ -165,7 +165,7 @@ type Emitter struct {
 	p       Probe
 	bp      BlockProbe // non-nil enables block-buffered delivery
 	block   []isa.Inst // accumulating block; cap is the block size
-	inst    isa.Inst
+	inst    isa.Inst   // staging record for probes without a block path
 	pc      uint64
 	rtn     *Routine
 	stack   [maxCallDepth]frame
@@ -249,18 +249,27 @@ func (e *Emitter) Flush() {
 	}
 }
 
-// send delivers the staged instruction record — appended to the block
-// buffer on the batched path, pushed through Probe.Inst otherwise —
-// and retires it against the budget. Every emission funnels through
-// here, so both delivery modes see the same sequence.
-func (e *Emitter) send() {
+// put delivers one instruction — written field by field straight into
+// the next block slot on the batched path, staged in e.inst and pushed
+// through Probe.Inst otherwise — and retires it against the budget.
+// Every emission funnels through here, so both delivery modes see the
+// same sequence. Storing the fields in place, rather than building an
+// isa.Inst value and copying it, keeps the hot path free of wide
+// reloads of just-written bytes.
+func (e *Emitter) put(op isa.Op, kind isa.BranchKind, taken bool, pc, addr, target uint64, size uint8, dst, s1, s2 isa.Reg) {
 	if e.bp != nil {
-		e.block = append(e.block, e.inst)
-		if len(e.block) == cap(e.block) {
+		n := len(e.block)
+		e.block = e.block[:n+1]
+		i := &e.block[n]
+		i.PC, i.Addr, i.Target = pc, addr, target
+		i.Op, i.Kind, i.Taken, i.Size = op, kind, taken, size
+		i.Dst, i.Src1, i.Src2 = dst, s1, s2
+		if n+1 == cap(e.block) {
 			e.bp.InstBlock(e.block)
 			e.block = e.block[:0]
 		}
 	} else {
+		e.inst = isa.Inst{PC: pc, Addr: addr, Target: target, Op: op, Kind: kind, Taken: taken, Size: size, Dst: dst, Src1: s1, Src2: s2}
 		e.p.Inst(&e.inst)
 	}
 	e.budget--
@@ -311,10 +320,12 @@ func (e *Emitter) Fixed(i int) isa.Reg {
 	return isa.Reg(i)
 }
 
-func (e *Emitter) emit() {
-	e.inst.PC = e.pc
+// emit sends one straight-line instruction at the current PC and
+// advances past it.
+func (e *Emitter) emit(op isa.Op, addr uint64, size uint8, dst, s1, s2 isa.Reg) {
+	pc := e.pc
 	e.advance()
-	e.send()
+	e.put(op, isa.BrNone, false, pc, addr, 0, size, dst, s1, s2)
 }
 
 func (e *Emitter) advance() {
@@ -331,40 +342,35 @@ func (e *Emitter) advance() {
 // holding the loaded value.
 func (e *Emitter) Load(addr uint64, size uint8, addrDep isa.Reg) isa.Reg {
 	dst := e.fresh()
-	e.inst = isa.Inst{Op: isa.Load, Addr: addr, Size: size, Dst: dst, Src1: addrDep}
-	e.emit()
+	e.emit(isa.Load, addr, size, dst, addrDep, isa.NoReg)
 	return dst
 }
 
 // LoadTo emits a load whose result lands in dst (used for accumulator
 // reloads).
 func (e *Emitter) LoadTo(dst isa.Reg, addr uint64, size uint8, addrDep isa.Reg) isa.Reg {
-	e.inst = isa.Inst{Op: isa.Load, Addr: addr, Size: size, Dst: dst, Src1: addrDep}
-	e.emit()
+	e.emit(isa.Load, addr, size, dst, addrDep, isa.NoReg)
 	return dst
 }
 
 // Store emits a store of size bytes to addr. val is the stored value's
 // register, addrDep the address dependency.
 func (e *Emitter) Store(addr uint64, size uint8, val, addrDep isa.Reg) {
-	e.inst = isa.Inst{Op: isa.Store, Addr: addr, Size: size, Src1: val, Src2: addrDep}
-	e.emit()
+	e.emit(isa.Store, addr, size, isa.NoReg, val, addrDep)
 }
 
 // Int emits an integer operation of the given class (IntAlu, IntAddr,
 // FPAddr, IntMul, IntDiv) and returns the destination register.
 func (e *Emitter) Int(op isa.Op, s1, s2 isa.Reg) isa.Reg {
 	dst := e.fresh()
-	e.inst = isa.Inst{Op: op, Dst: dst, Src1: s1, Src2: s2}
-	e.emit()
+	e.emit(op, 0, 0, dst, s1, s2)
 	return dst
 }
 
 // IntTo emits an integer operation into an explicit destination,
 // forming a serial chain when dst is also a source.
 func (e *Emitter) IntTo(dst isa.Reg, op isa.Op, s1, s2 isa.Reg) isa.Reg {
-	e.inst = isa.Inst{Op: op, Dst: dst, Src1: s1, Src2: s2}
-	e.emit()
+	e.emit(op, 0, 0, dst, s1, s2)
 	return dst
 }
 
@@ -372,15 +378,13 @@ func (e *Emitter) IntTo(dst isa.Reg, op isa.Op, s1, s2 isa.Reg) isa.Reg {
 // the destination register.
 func (e *Emitter) FP(op isa.Op, s1, s2 isa.Reg) isa.Reg {
 	dst := e.fresh()
-	e.inst = isa.Inst{Op: op, Dst: dst, Src1: s1, Src2: s2}
-	e.emit()
+	e.emit(op, 0, 0, dst, s1, s2)
 	return dst
 }
 
 // FPTo emits a floating-point operation into an explicit destination.
 func (e *Emitter) FPTo(dst isa.Reg, op isa.Op, s1, s2 isa.Reg) isa.Reg {
-	e.inst = isa.Inst{Op: op, Dst: dst, Src1: s1, Src2: s2}
-	e.emit()
+	e.emit(op, 0, 0, dst, s1, s2)
 	return dst
 }
 
@@ -398,12 +402,7 @@ func (e *Emitter) Here() Label { return Label{pc: e.pc, rtn: e.rtn} }
 // returns to the label (a loop iteration); otherwise execution falls
 // through. dep is the register the loop condition depends on.
 func (e *Emitter) Loop(l Label, taken bool, dep isa.Reg) {
-	e.inst = isa.Inst{
-		Op: isa.Branch, Kind: isa.BrCond, Taken: taken,
-		Target: l.pc, Src1: dep,
-	}
-	e.inst.PC = e.pc
-	e.send()
+	e.put(isa.Branch, isa.BrCond, taken, e.pc, 0, l.pc, 0, isa.NoReg, dep, isa.NoReg)
 	if taken {
 		e.pc = l.pc
 		e.rtn = l.rtn
@@ -421,11 +420,7 @@ func (e *Emitter) Loop(l Label, taken bool, dep isa.Reg) {
 // predictors see stable branch addresses.
 func (e *Emitter) If(cond bool, thenN int, then func()) {
 	target := e.pc + uint64((thenN+1)*isa.InstBytes)
-	e.inst = isa.Inst{
-		Op: isa.Branch, Kind: isa.BrCond, Taken: !cond, Target: target,
-	}
-	e.inst.PC = e.pc
-	e.send()
+	e.put(isa.Branch, isa.BrCond, !cond, e.pc, 0, target, 0, isa.NoReg, isa.NoReg, isa.NoReg)
 	if cond {
 		e.pc += isa.InstBytes
 		before := e.emitted
@@ -447,12 +442,9 @@ func (e *Emitter) If(cond bool, thenN int, then func()) {
 // compare-and-skip of one instruction). Use it for data-dependent
 // comparisons whose arms are handled in Go code rather than emitted.
 func (e *Emitter) Branch(taken bool, dep isa.Reg) {
-	target := e.pc + 2*isa.InstBytes
-	e.inst = isa.Inst{
-		Op: isa.Branch, Kind: isa.BrCond, Taken: taken, Target: target,
-		Src1: dep,
-	}
-	e.emit()
+	pc := e.pc
+	e.advance()
+	e.put(isa.Branch, isa.BrCond, taken, pc, 0, pc+2*isa.InstBytes, 0, isa.NoReg, dep, isa.NoReg)
 }
 
 // Call emits a direct call into r and moves the emitter there.
@@ -467,9 +459,7 @@ func (e *Emitter) CallIndirect(r *Routine, dep isa.Reg) {
 }
 
 func (e *Emitter) call(r *Routine, kind isa.BranchKind, dep isa.Reg) {
-	e.inst = isa.Inst{Op: isa.Branch, Kind: kind, Taken: true, Target: r.Base, Src1: dep}
-	e.inst.PC = e.pc
-	e.send()
+	e.put(isa.Branch, kind, true, e.pc, 0, r.Base, 0, isa.NoReg, dep, isa.NoReg)
 	ret := e.pc + isa.InstBytes
 	if e.depth < maxCallDepth {
 		e.stack[e.depth] = frame{pc: ret, rtn: e.rtn}
@@ -489,9 +479,7 @@ func (e *Emitter) Ret() {
 	} else {
 		target = frame{pc: e.rtn.Base, rtn: e.rtn}
 	}
-	e.inst = isa.Inst{Op: isa.Branch, Kind: isa.BrRet, Taken: true, Target: target.pc}
-	e.inst.PC = e.pc
-	e.send()
+	e.put(isa.Branch, isa.BrRet, true, e.pc, 0, target.pc, 0, isa.NoReg, isa.NoReg, isa.NoReg)
 	e.pc = target.pc
 	e.rtn = target.rtn
 }
