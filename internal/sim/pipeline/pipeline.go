@@ -126,7 +126,8 @@ func (m *Model) Step(i *isa.Inst, ilevel, dlevel int, mispredict bool, itlbExtra
 
 // StepBlock advances the model over a block of instructions, events[k]
 // describing block[k]. The scalar state lives in locals for the whole
-// block, so the loop keeps it in registers.
+// block instead of being loaded from and stored to the Model for every
+// instruction.
 func (m *Model) StepBlock(block []isa.Inst, events []Event) {
 	if len(block) == 0 {
 		return
