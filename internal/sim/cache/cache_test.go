@@ -181,39 +181,32 @@ func TestHierarchyLevels(t *testing.T) {
 	}
 }
 
+// TestHierarchyPrefetchNextLine pins that both next-line prefetchers
+// step by the L1 line size: after a demand miss, the line right after
+// it must hit L1, at 64-byte lines and at 32 (where a fixed 64-byte
+// step would skip it), with and without an L3.
 func TestHierarchyPrefetchNextLine(t *testing.T) {
-	h := NewHierarchy(
-		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64, Latency: 10},
-		Config{}, 190)
-	h.Data(0x200000, false) // miss; prefetches 0x200040
-	if lvl := h.Data(0x200040, false); lvl != LvlL1 {
-		t.Fatalf("next line not prefetched into L1 (level %d)", lvl)
-	}
-}
-
-// TestHierarchyPrefetchFollowsLineSize pins that both next-line
-// prefetchers step by the L1 line size, not a fixed 64 bytes: with
-// 32-byte lines the line right after a demand miss must be resident.
-func TestHierarchyPrefetchFollowsLineSize(t *testing.T) {
-	h := NewHierarchy(
-		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 32, Latency: 4},
-		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 32, Latency: 4},
-		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 32, Latency: 10},
-		Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 32, Latency: 38},
-		190)
-	if lvl := h.Data(0x200000, false); lvl != LvlMem {
-		t.Fatalf("cold data access hit level %d, want memory", lvl)
-	}
-	if lvl := h.Data(0x200020, false); lvl != LvlL1 {
-		t.Fatalf("next 32-byte data line not prefetched into L1 (level %d)", lvl)
-	}
-	if lvl := h.Fetch(0x400000); lvl != LvlMem {
-		t.Fatalf("cold fetch hit level %d, want memory", lvl)
-	}
-	if lvl := h.Fetch(0x400020); lvl != LvlL1 {
-		t.Fatalf("next 32-byte code line not prefetched into L1 (level %d)", lvl)
+	for _, c := range []struct {
+		line int
+		l3   Config
+	}{
+		{64, Config{}},
+		{32, Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 32, Latency: 38}},
+	} {
+		h := NewHierarchy(
+			Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: c.line, Latency: 4},
+			Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: c.line, Latency: 4},
+			Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: c.line, Latency: 10},
+			c.l3, 190)
+		next := uint64(c.line)
+		h.Data(0x200000, false) // miss; prefetches the next two lines
+		if lvl := h.Data(0x200000+next, false); lvl != LvlL1 {
+			t.Errorf("%d-byte lines: next data line not prefetched into L1 (level %d)", c.line, lvl)
+		}
+		h.Fetch(0x400000) // miss; prefetches the next line
+		if lvl := h.Fetch(0x400000 + next); lvl != LvlL1 {
+			t.Errorf("%d-byte lines: next code line not prefetched into L1 (level %d)", c.line, lvl)
+		}
 	}
 }
 
