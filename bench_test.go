@@ -251,8 +251,8 @@ func BenchmarkAblationLoopPredictor(b *testing.B) {
 // concurrent engine is compared against.
 func BenchmarkEngineSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := &experiments.Engine{Session: experiments.NewSession(experiments.Quick())}
-		res, err := e.RunSerial()
+		e := &experiments.Engine{Session: experiments.NewSession(experiments.Quick()), Parallelism: 1}
+		res, err := e.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,14 +41,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/artifact/artifactd"
+	"repro/internal/cli"
 	"repro/internal/faultinject"
 )
 
@@ -63,7 +62,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
 
-	logger, err := newLogger("artifactd", *logLevel)
+	logger, err := cli.NewLogger("artifactd", *logLevel)
 	if err != nil {
 		fatal(err)
 	}
@@ -122,27 +121,6 @@ func main() {
 	if err := http.ListenAndServe(*addr, handler); err != nil {
 		fatal(err)
 	}
-}
-
-// newLogger builds the process logger: structured key=value lines on
-// stderr, every record tagged with the daemon name, bounded below by
-// the -log-level flag.
-func newLogger(component, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("-log-level %q is not debug, info, warn or error", level)
-	}
-	h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})
-	return slog.New(h).With("component", component), nil
 }
 
 func fatal(err error) {

@@ -9,11 +9,16 @@
 // machines when they share a cmd/artifactd server via -store-url. -gc
 // bounds the -cache-dir (LRU sweep) after the run.
 //
+// Ids select workloads of the set by name, case-insensitively. An
+// unknown -set or -machine, or an id that matches nothing in the set,
+// exits 2.
+//
 // Usage:
 //
 //	bdbench [-budget N] [-machine xeon|atom] [-set reps|mpi|all|roster]
-//	        [-parallel N] [-block N] [-cache-dir DIR] [-store-url URL]
-//	        [-store-token T] [-gc SPEC] [-shard i/n] [id ...]
+//	        [-parallel N] [-cache-dir DIR] [-store-url URL]
+//	        [-store-token T] [-gc SPEC] [-mem-quota SPEC] [-shard i/n]
+//	        [id ...]
 package main
 
 import (
@@ -23,9 +28,8 @@ import (
 	"strings"
 
 	"repro/internal/artifact"
-	"repro/internal/artifact/httpstore"
+	"repro/internal/cli"
 	"repro/internal/conc"
-	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/sim/machine"
@@ -46,79 +50,34 @@ func main() {
 	mach := flag.String("machine", "xeon", "machine model: xeon or atom")
 	set := flag.String("set", "reps", "workload set: reps, mpi, all (reps+mpi) or roster")
 	parallel := flag.Int("parallel", 0, "bound concurrent workload runs (0 = GOMAXPROCS, 1 = serial)")
-	cacheDir := flag.String("cache-dir", "", "persist per-workload rows and dataset content under this directory and warm-start from it")
-	storeURL := flag.String("store-url", "", "share rows through the artifactd server at this URL (combine with -cache-dir for a local tier in front)")
-	storeToken := flag.String("store-token", "", "bearer token for a -token'd artifactd server (default $REPRO_STORE_TOKEN)")
-	gcSpec := flag.String("gc", "", `after the run, LRU-sweep the -cache-dir down to this bound: a size, an age, or both ("4GB", "168h", "4GB,168h")`)
 	shardSpec := flag.String("shard", "", "run only slice i of n of the set, as i/n (0-based)")
-	block := flag.Int("block", 0, "trace-replay block size in instructions (0 = default); output is byte-identical for every size")
-	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,datagen=96MB")`)
+	storeFlags := cli.RegisterStore(flag.CommandLine)
 	flag.Parse()
 
-	var list []workloads.Workload
-	switch *set {
-	case "reps":
-		list = workloads.Representative17()
-	case "mpi":
-		list = workloads.MPI6()
-	case "all":
-		list = append(workloads.Representative17(), workloads.MPI6()...)
-	case "roster":
-		list = workloads.Roster77()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown set %q\n", *set)
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "bdbench:", err)
 		os.Exit(2)
 	}
-	if ids := flag.Args(); len(ids) > 0 {
-		want := map[string]bool{}
-		for _, id := range ids {
-			want[strings.ToLower(id)] = true
-		}
-		var filtered []workloads.Workload
-		for _, w := range list {
-			if want[strings.ToLower(w.ID)] {
-				filtered = append(filtered, w)
-			}
-		}
-		list = filtered
+	cfg, list, err := selectRun(*set, *mach, flag.Args())
+	if err != nil {
+		usage(err)
 	}
 	if *shardSpec != "" {
 		i, n, err := experiments.ParseShard(*shardSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		list = workloads.ShardSlice(list, i, n)
 	}
-
-	sweep, err := artifact.GCSweeper(*cacheDir, *gcSpec)
+	st, quota, sweep, err := storeFlags.Open()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bdbench:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	store := artifact.Default()
-	if *cacheDir != "" || *storeURL != "" {
-		st, err := httpstore.OpenStore(*cacheDir, *storeURL, *storeToken)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench:", err)
-			os.Exit(1)
-		}
+	if st != nil {
 		store = st
-		datagen.SetStore(st)
 	}
-	if *memQuota != "" {
-		q, err := artifact.ParseQuotaSpec(*memQuota)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench:", err)
-			os.Exit(2)
-		}
-		store.SetMemQuota(q)
-	}
-
-	cfg := machine.XeonE5645()
-	if *mach == "atom" {
-		cfg = machine.AtomD510()
-	}
+	store.SetMemQuota(quota)
 
 	fmt.Printf("%-18s %5s %6s %6s %6s %6s %6s %5s %6s %5s %5s %5s %5s %5s %6s %6s %6s %5s %6s %6s %6s %6s %6s\n",
 		"workload", "IPC", "L1I", "L1D", "L2", "L2I%", "L3", "brM%", "mCRI", "br%", "ld%", "st%", "int%", "fp%",
@@ -140,7 +99,7 @@ func main() {
 			func(r row) bool { return r.ID == w.ID },
 			func() (row, error) {
 				m := machine.New(cfg)
-				res := workloads.RunBlock(w, m, *budget, *block)
+				res := workloads.Run(w, m, *budget)
 				m.Finish()
 				v := metrics.Compute(m)
 				st := m.BP.Stats()
@@ -180,4 +139,58 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "bdbench: gc: %s\n", res)
 	}
+}
+
+// selectRun resolves -set, -machine and the id arguments into the
+// machine model and the workloads to run, in set order. Ids match
+// workload ids case-insensitively; an unknown set or machine, or ids
+// that match nothing in the set, are errors.
+func selectRun(set, mach string, ids []string) (machine.Config, []workloads.Workload, error) {
+	var cfg machine.Config
+	switch mach {
+	case "xeon":
+		cfg = machine.XeonE5645()
+	case "atom":
+		cfg = machine.AtomD510()
+	default:
+		return cfg, nil, fmt.Errorf("unknown machine %q (want xeon or atom)", mach)
+	}
+	var list []workloads.Workload
+	switch set {
+	case "reps":
+		list = workloads.Representative17()
+	case "mpi":
+		list = workloads.MPI6()
+	case "all":
+		list = append(workloads.Representative17(), workloads.MPI6()...)
+	case "roster":
+		list = workloads.Roster77()
+	default:
+		return cfg, nil, fmt.Errorf("unknown set %q (want reps, mpi, all or roster)", set)
+	}
+	if len(ids) == 0 {
+		return cfg, list, nil
+	}
+	matched := map[string]bool{}
+	for _, id := range ids {
+		matched[strings.ToLower(id)] = false
+	}
+	var picked []workloads.Workload
+	for _, w := range list {
+		id := strings.ToLower(w.ID)
+		if _, ok := matched[id]; ok {
+			matched[id] = true
+			picked = append(picked, w)
+		}
+	}
+	var unknown []string
+	for _, id := range ids {
+		if !matched[strings.ToLower(id)] {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		return cfg, nil, fmt.Errorf("no workload in set %q matches %s", set, strings.Join(unknown, " "))
+	}
+	return cfg, picked, nil
 }

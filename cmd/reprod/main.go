@@ -40,7 +40,7 @@
 //
 // Usage:
 //
-//	reprod [-addr :9555] [-quick] [-parallel N] [-workers N] [-block N]
+//	reprod [-addr :9555] [-quick] [-parallel N] [-workers N]
 //	       [-cache-dir DIR] [-store-url URL] [-store-token T]
 //	       [-self URL] [-peers URL,URL,...]
 //	       [-peer-fail-limit N] [-peer-cooldown D] [-fault-spec SPEC]
@@ -52,7 +52,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -60,9 +59,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/artifact"
-	"repro/internal/artifact/httpstore"
-	"repro/internal/datagen"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/serve"
@@ -73,13 +70,7 @@ func main() {
 	quick := flag.Bool("quick", false, "serve reduced instruction budgets (tests/CI)")
 	parallel := flag.Int("parallel", 0, "bound workers inside each computation (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "bound concurrently executing computations (0 = GOMAXPROCS)")
-	block := flag.Int("block", 0, "trace-replay block size (0 = default); output is byte-identical for every size")
-	cacheDir := flag.String("cache-dir", "", "persist artifacts under this directory and warm-start from it")
-	storeURL := flag.String("store-url", "", "share artifacts through the artifactd server at this URL")
-	storeToken := flag.String("store-token", "", "bearer token for a -token'd artifactd server (default $REPRO_STORE_TOKEN)")
-	gcSpec := flag.String("gc", "", `LRU-sweep the -cache-dir to this bound periodically: "4GB", "168h", "4GB,168h"`)
 	gcInterval := flag.Duration("gc-interval", 10*time.Minute, "how often to run the -gc and -mem-quota age sweeps")
-	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,30m,scenario-render=64MB")`)
 	self := flag.String("self", "", `this replica's advertised base URL, e.g. "http://10.0.0.3:9555" (fleet mode)`)
 	peers := flag.String("peers", "", "comma-separated advertised base URLs of every fleet replica (-self may be repeated in the list)")
 	peerFailLimit := flag.Int("peer-fail-limit", 0, "consecutive proxy transport failures that sideline a fleet peer (0 = default 3)")
@@ -88,9 +79,14 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight work")
 	eventBuffer := flag.Int("event-buffer", 0, "per-SSE-subscriber event ring size (0 = default 256); a subscriber that falls further behind sheds its oldest events")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
+	storeFlags := cli.RegisterStore(flag.CommandLine)
 	flag.Parse()
 
-	logger, err := newLogger("reprod", *logLevel)
+	logger, err := cli.NewLogger("reprod", *logLevel)
+	if err != nil {
+		fatal(err)
+	}
+	st, quota, gcSweep, err := storeFlags.Open()
 	if err != nil {
 		fatal(err)
 	}
@@ -101,7 +97,7 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Opt: opt, Parallelism: *parallel, BlockSize: *block, Workers: *workers,
+		Opt: opt, Store: st, MemQuota: quota, Parallelism: *parallel, Workers: *workers,
 		Self: *self, PeerFailLimit: *peerFailLimit, PeerCooldown: *peerCooldown,
 		EventBuffer: *eventBuffer,
 	}
@@ -114,21 +110,6 @@ func main() {
 		for _, p := range cfg.Peers {
 			logger.Debug("fleet member configured", "self", cfg.Self, "peer", p)
 		}
-	}
-	if *memQuota != "" {
-		q, err := artifact.ParseQuotaSpec(*memQuota)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.MemQuota = q
-	}
-	if *cacheDir != "" || *storeURL != "" {
-		st, err := httpstore.OpenStore(*cacheDir, *storeURL, *storeToken)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store = st
-		datagen.SetStore(st)
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -145,21 +126,14 @@ func main() {
 		}()
 	}
 
-	if *gcSpec != "" {
-		if *cacheDir == "" {
-			fatal(fmt.Errorf("-gc needs -cache-dir"))
-		}
-		policy, err := artifact.ParseGCSpec(*gcSpec)
-		if err != nil {
-			fatal(err)
-		}
+	if gcSweep != nil {
 		sweep := func() {
-			res, err := artifact.GC(*cacheDir, policy.MaxBytes, policy.MaxAge)
+			res, err := gcSweep()
 			if err != nil {
-				logger.Error("gc sweep failed", "dir", *cacheDir, "error", err)
+				logger.Error("gc sweep failed", "error", err)
 				return
 			}
-			logger.Info("gc sweep", "dir", *cacheDir, "result", res.String())
+			logger.Info("gc sweep", "result", res.String())
 		}
 		sweep()
 		go func() {
@@ -215,27 +189,6 @@ func main() {
 	}
 	<-done
 	logger.Info("drained, exiting")
-}
-
-// newLogger builds the process logger: structured key=value lines on
-// stderr, every record tagged with the daemon name, bounded below by
-// the -log-level flag.
-func newLogger(component, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("-log-level %q is not debug, info, warn or error", level)
-	}
-	h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})
-	return slog.New(h).With("component", component), nil
 }
 
 func fatal(err error) {

@@ -19,7 +19,7 @@
 //
 //	wcrt [-k N] [-budget N] [-set roster|reps] [-metrics] [-csv]
 //	     [-cache-dir DIR] [-store-url URL] [-store-token T] [-gc SPEC]
-//	     [-shard i/n] [-parallel N] [-block N]
+//	     [-mem-quota SPEC] [-shard i/n] [-parallel N]
 package main
 
 import (
@@ -27,10 +27,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/artifact"
-	"repro/internal/artifact/httpstore"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -44,14 +42,9 @@ func main() {
 	set := flag.String("set", "roster", "workload set: roster (77) or reps (17)")
 	showMetrics := flag.Bool("metrics", false, "print the full 45-metric vector per workload")
 	asCSV := flag.Bool("csv", false, "emit metric vectors as CSV")
-	cacheDir := flag.String("cache-dir", "", "persist profiles and dataset content under this directory and warm-start from it")
-	storeURL := flag.String("store-url", "", "share profiles through the artifactd server at this URL (combine with -cache-dir for a local tier in front)")
-	storeToken := flag.String("store-token", "", "bearer token for a -token'd artifactd server (default $REPRO_STORE_TOKEN)")
-	gcSpec := flag.String("gc", "", `after the run, LRU-sweep the -cache-dir down to this bound: a size, an age, or both ("4GB", "168h", "4GB,168h")`)
 	shardSpec := flag.String("shard", "", "profile only slice i of n (as i/n, 0-based) into the store and skip the reduction; a later run without -shard merges")
 	parallel := flag.Int("parallel", 0, "bound concurrent profiling runs (0 = GOMAXPROCS)")
-	block := flag.Int("block", 0, "trace-replay block size in instructions (0 = default); output is byte-identical for every size")
-	memQuota := flag.String("mem-quota", "", `bound the in-process artifact cache: size, idle age and/or kind=size, comma-separated ("256MB", "256MB,profile=128MB")`)
+	storeFlags := cli.RegisterStore(flag.CommandLine)
 	flag.Parse()
 
 	var list []workloads.Workload
@@ -71,26 +64,12 @@ func main() {
 		Budget: *budget, SweepBudget: *budget, RosterBudget: *budget,
 	})
 	sess.Parallelism = *parallel
-	sess.BlockSize = *block
-	gcSweep, err := artifact.GCSweeper(*cacheDir, *gcSpec)
+	st, quota, gcSweep, err := storeFlags.Open()
 	if err != nil {
 		fatal(err)
 	}
-	if *cacheDir != "" || *storeURL != "" {
-		st, err := httpstore.OpenStore(*cacheDir, *storeURL, *storeToken)
-		if err != nil {
-			fatal(err)
-		}
-		sess.Store = st
-		datagen.SetStore(st)
-	}
-	if *memQuota != "" {
-		q, err := artifact.ParseQuotaSpec(*memQuota)
-		if err != nil {
-			fatal(err)
-		}
-		sess.ArtifactStore().SetMemQuota(q)
-	}
+	sess.Store = st
+	sess.ArtifactStore().SetMemQuota(quota)
 	sweep := func() {
 		if gcSweep == nil {
 			return
@@ -107,7 +86,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *cacheDir == "" && *storeURL == "" {
+		if st == nil {
 			fatal(fmt.Errorf("-shard requires -cache-dir or -store-url: a shard's profiles must persist for the merge run to find them"))
 		}
 		slice := workloads.ShardSlice(list, i, n)

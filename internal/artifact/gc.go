@@ -126,10 +126,9 @@ func GC(dir string, maxBytes int64, maxAge time.Duration) (GCResult, error) {
 }
 
 // GCSweeper validates a CLI's -gc flag against its -cache-dir and
-// returns the post-run sweep, or an error for a malformed spec or a
-// missing cache dir — the one implementation shared by cmd/repro,
-// cmd/wcrt and cmd/bdbench. An empty spec returns a nil sweep (no GC
-// requested).
+// returns the sweep, or an error for a malformed spec or a missing
+// cache dir — the one implementation behind the engine commands' -gc
+// (internal/cli). An empty spec returns a nil sweep (no GC requested).
 func GCSweeper(cacheDir, spec string) (func() (GCResult, error), error) {
 	if spec == "" {
 		return nil, nil

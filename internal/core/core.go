@@ -30,10 +30,6 @@ type Profiler struct {
 	Budget int64
 	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
 	Parallelism int
-	// BlockSize is the trace-replay batch size (instructions per
-	// delivered block; 0 = trace.DefaultBlockSize). Purely a plumbing
-	// knob: every size produces byte-identical profiles.
-	BlockSize int
 }
 
 // Profile is one workload's collected characterization.
@@ -57,7 +53,7 @@ func (p *Profiler) Profile(w workloads.Workload) Profile {
 // A nil or background context behaves exactly like Profile.
 func (p *Profiler) ProfileCtx(ctx context.Context, w workloads.Workload) (Profile, error) {
 	m := machine.New(p.Machine)
-	res, err := workloads.RunBlockCtx(ctx, w, m, p.Budget, p.BlockSize)
+	res, err := workloads.RunBlockCtx(ctx, w, m, p.Budget, 0)
 	if err != nil {
 		return Profile{}, err
 	}

@@ -64,22 +64,21 @@ func TestBlockProfileEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionBlockSizeInvariant checks the Session-level knob: odd
-// block sizes and sweep parallelism render the same figure bytes.
-func TestSessionBlockSizeInvariant(t *testing.T) {
-	render := func(blockSize, par int) []byte {
+// TestSessionParallelismInvariant checks the Session-level fan-out
+// bound: every sweep parallelism renders the same figure bytes.
+func TestSessionParallelismInvariant(t *testing.T) {
+	render := func(par int) []byte {
 		s := NewSession(Options{Budget: 50_000, SweepBudget: 40_000, RosterBudget: 40_000})
-		s.BlockSize = blockSize
 		s.Parallelism = par
 		var buf bytes.Buffer
 		Fig6(s).Render(&buf)
 		Fig7(s).Render(&buf)
 		return buf.Bytes()
 	}
-	want := render(0, 1)
-	for _, c := range []struct{ bs, par int }{{1, 2}, {7, 4}, {777, 0}} {
-		if got := render(c.bs, c.par); !bytes.Equal(got, want) {
-			t.Fatalf("block %d par %d: rendered figures differ", c.bs, c.par)
+	want := render(1)
+	for _, par := range []int{2, 4, 0} {
+		if got := render(par); !bytes.Equal(got, want) {
+			t.Fatalf("par %d: rendered figures differ", par)
 		}
 	}
 }

@@ -146,12 +146,6 @@ func (e *Engine) RunContext(ctx context.Context) ([]UnitResult, error) {
 	return e.run(ctx, par)
 }
 
-// RunSerial executes the selected units one at a time in dependency
-// order — the reference the concurrent path is benchmarked against.
-func (e *Engine) RunSerial() ([]UnitResult, error) {
-	return e.run(context.Background(), 1)
-}
-
 func (e *Engine) units() []Unit {
 	if e.Units != nil {
 		return e.Units
@@ -235,7 +229,7 @@ func (e *Engine) plan(units []Unit) (*schedule, error) {
 		sc.selected = mine
 	}
 	// Build edges in unit-definition order so dependent dispatch (and
-	// therefore RunSerial's visit order) is deterministic.
+	// therefore a one-worker run's visit order) is deterministic.
 	for i := range units {
 		if !sc.selected[i] {
 			continue
@@ -304,8 +298,8 @@ func (e *Engine) run(ctx context.Context, par int) ([]UnitResult, error) {
 	n := len(selected)
 	ready := make(chan int, n)
 	completions := make(chan int, n)
-	// Seed the ready queue in definition order so RunSerial visits
-	// units deterministically.
+	// Seed the ready queue in definition order so a one-worker run
+	// visits units deterministically.
 	for i := range units {
 		if selected[i] && indeg[i] == 0 {
 			ready <- i

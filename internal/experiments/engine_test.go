@@ -103,12 +103,13 @@ func renderAll(t *testing.T, results []UnitResult) string {
 }
 
 // TestEngineParallelMatchesSerial asserts the concurrent engine renders
-// byte-identical output to the serial dependency-order run for the same
-// options — every table, figure, curve and knee.
+// byte-identical output to a one-worker run, which visits units one at
+// a time in dependency order, for the same options — every table,
+// figure, curve and knee.
 func TestEngineParallelMatchesSerial(t *testing.T) {
 	sel := visibleExceptReduction()
-	es := &Engine{Session: NewSession(tinyOptions()), Select: sel}
-	serialRes, err := es.RunSerial()
+	es := &Engine{Session: NewSession(tinyOptions()), Parallelism: 1, Select: sel}
+	serialRes, err := es.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,12 +80,6 @@ type Session struct {
 	// threaded from here).
 	Parallelism int
 
-	// BlockSize is the trace-replay batch size for every simulation
-	// this session runs (instructions per delivered block; 0 =
-	// trace.DefaultBlockSize). A plumbing knob only: results — and
-	// therefore artifact-store keys — are identical for every size.
-	BlockSize int
-
 	// Store backs every memoized fill. Set it (before first use) to a
 	// shared or disk-backed store to share artefacts between sessions
 	// or processes; nil uses a private in-memory store, preserving
@@ -188,7 +182,7 @@ func (s *Session) profileOne(cfg machine.Config, w workloads.Workload, budget in
 	rec := mustFill(artifact.GetChecked(s.ArtifactStore(), key,
 		func(r core.ProfileRecord) bool { return r.Matches(w) },
 		func() (core.ProfileRecord, error) {
-			p := core.Profiler{Machine: cfg, Budget: budget, BlockSize: s.BlockSize}
+			p := core.Profiler{Machine: cfg, Budget: budget}
 			prof, err := p.ProfileCtx(s.ctx(), w)
 			if err != nil {
 				return core.ProfileRecord{}, err // aborted: never recorded, never persisted
@@ -402,7 +396,7 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 		sw.Parallelism = s.Parallelism
 		ctx := s.ctx()
 		sw.Cancel = ctx.Done()
-		if _, err := workloads.RunBlockCtx(ctx, w, sw, budget, s.BlockSize); err != nil {
+		if _, err := workloads.RunBlockCtx(ctx, w, sw, budget, 0); err != nil {
 			return err // aborted: histograms truncated, discard
 		}
 		s.tracePasses.Add(1)

@@ -64,8 +64,6 @@ type Config struct {
 	// Parallelism bounds the workers inside one computation
 	// (experiments.Session.Parallelism; 0 = GOMAXPROCS).
 	Parallelism int
-	// BlockSize is the trace-replay batch size (plumbing only).
-	BlockSize int
 	// Workers bounds concurrently executing computations — flights and
 	// jobs together (0 = GOMAXPROCS; the pool floors at 2).
 	Workers int
@@ -220,7 +218,6 @@ func (s *Server) Store() *artifact.Store { return s.store }
 func (s *Server) session(ctx context.Context) *experiments.Session {
 	sess := experiments.NewSession(s.cfg.Opt)
 	sess.Parallelism = s.cfg.Parallelism
-	sess.BlockSize = s.cfg.BlockSize
 	sess.Store = s.store
 	sess.Ctx = ctx
 	return sess

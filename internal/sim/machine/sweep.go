@@ -55,13 +55,6 @@ type Sweep struct {
 	// are independent, so every setting yields the same curves.
 	Parallelism int
 
-	// Cancel, when non-nil, aborts the replay: once the channel is
-	// closed, InstBlock drains delivered blocks without touching the
-	// caches. The curves are then truncated and must be discarded —
-	// cancellation exists so an abandoned request stops burning CPU,
-	// never to produce partial results.
-	Cancel <-chan struct{}
-
 	icaches []*cache.Cache
 	dcaches []*cache.Cache
 	ucaches []*cache.Cache
@@ -206,13 +199,6 @@ func (s *Sweep) Inst(i *isa.Inst) {
 // are read-only during the fan-out and each cache is owned by exactly
 // one worker, so the replay is deterministic under any schedule.
 func (s *Sweep) InstBlock(block []isa.Inst) {
-	if s.Cancel != nil {
-		select {
-		case <-s.Cancel:
-			return // drain: the curves are already condemned
-		default:
-		}
-	}
 	s.decode(block)
 	iRecs, dRecs, uRecs := s.iRecs, s.dRecs, s.uRecs
 

@@ -8,9 +8,12 @@
 //	    -match '^BenchmarkSweep' -max-regress 0.25 \
 //	    -ratio 'BenchmarkSweepFiguresBlocked<=0.5*BenchmarkSweepFiguresSerial'
 //
-// Regression is measured on ns/op (current/baseline - 1). Benchmark
-// names are normalized by stripping the -GOMAXPROCS suffix, so runs
-// from machines with different core counts compare. A matched baseline
+// Regression is measured on ns/op (current/baseline - 1). go test
+// appends -GOMAXPROCS to every benchmark name when GOMAXPROCS > 1 and
+// to none at 1, so a file's names lose a trailing -N only when every
+// one of them carries the same -N; runs from machines with different
+// core counts then compare, and a sub-benchmark's own number
+// ("geoms-4") survives a one-proc file. A matched baseline
 // benchmark missing from the current run fails too (a rename must
 // update the baseline); benchmarks only in the current run are listed
 // but don't fail. When the machine legitimately changes or the
@@ -19,7 +22,8 @@
 //
 // -ratio adds hardware-independent assertions evaluated *within* the
 // current run (comma-separated "A<=F*B" terms: benchmark A's ns/op
-// must be at most F times benchmark B's). Cross-machine baselines
+// must be at most F times benchmark B's; A and B are looked up exactly
+// as written, without a -GOMAXPROCS suffix). Cross-machine baselines
 // drift with runner hardware; a within-run ratio — e.g. "the blocked
 // figure path is at least twice the serial path's throughput" — holds
 // on any machine.
@@ -47,12 +51,24 @@ type envelope struct {
 	Benchmarks []result          `json:"benchmarks"`
 }
 
-// normalize strips the -N GOMAXPROCS suffix go test appends on
-// multi-proc machines.
-var procSuffix = regexp.MustCompile(`-\d+$`)
+var trailingNum = regexp.MustCompile(`-\d+$`)
 
-func normalize(name string) string { return procSuffix.ReplaceAllString(name, "") }
+// procSuffix returns the -N that ends every benchmark name, or "" when
+// the names do not all end in the same one.
+func procSuffix(rs []result) string {
+	suffix := ""
+	for i, r := range rs {
+		s := trailingNum.FindString(r.Name)
+		if s == "" || (i > 0 && s != suffix) {
+			return ""
+		}
+		suffix = s
+	}
+	return suffix
+}
 
+// load reads a bench2json file keyed by benchmark name without the
+// -GOMAXPROCS suffix.
 func load(path string) (map[string]result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -62,9 +78,10 @@ func load(path string) (map[string]result, error) {
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	suffix := procSuffix(env.Benchmarks)
 	out := make(map[string]result, len(env.Benchmarks))
 	for _, r := range env.Benchmarks {
-		out[normalize(r.Name)] = r
+		out[strings.TrimSuffix(r.Name, suffix)] = r
 	}
 	return out, nil
 }
@@ -150,8 +167,8 @@ func checkRatio(term string, current map[string]result) bool {
 	if err != nil {
 		fatal(err)
 	}
-	a, okA := current[normalize(m[1])]
-	b, okB := current[normalize(m[3])]
+	a, okA := current[m[1]]
+	b, okB := current[m[3]]
 	if !okA || !okB {
 		fmt.Printf("FAIL ratio %s: benchmark missing from current run\n", term)
 		return false

@@ -176,7 +176,7 @@ func RunBlockCtx(ctx context.Context, w Workload, p trace.Probe, budget int64, b
 	// Any cancellation during the run condemns the result — not just
 	// one the emitter's periodic poll observed. The signal can land
 	// after the last poll but before the tail flush, in which case a
-	// probe watching the same ctx (machine.Sweep.Cancel) has already
+	// probe watching the same ctx (machine.StackSweep.Cancel) has already
 	// drained deliveries the emitter still counted; the only safe
 	// answer is abort.
 	if e.Canceled() || (ctx != nil && ctx.Err() != nil) {
