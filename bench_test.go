@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim/isa"
 	"repro/internal/sim/machine"
-	"repro/internal/sim/trace"
+	"repro/internal/suites"
 	"repro/internal/workloads"
 )
 
@@ -277,24 +278,43 @@ func BenchmarkEngineParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepFiguresSerial is the seed's Fig. 6-9 path, retained
-// verbatim as the pre-PR reference: every curve re-traces its workload
-// group (10 group sweeps, ~58 trace passes), each pass delivered
-// per-instruction with every cache accessed inline.
+// BenchmarkSweepFiguresSerial is the seed's Fig. 6-9 work through the
+// per-instruction concrete-cache oracle: every curve re-traces its
+// workload group — 9 group sweeps (Hadoop and PARSEC once per figure,
+// plus MPI in Fig. 9), 50 trace passes — with every cache accessed
+// inline. It is the reference CI's FiguresBlocked/FiguresSerial ratio
+// measures the engine path against.
 func BenchmarkSweepFiguresSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figs := experiments.SerialSweepFigures(experiments.NewSession(experiments.Quick()))
-		if len(figs[3].Curves["MPI-workloads"]) == 0 {
-			b.Fatal("missing curves")
+	var hadoop []workloads.Workload
+	for _, w := range workloads.Representative17() {
+		if w.Stack.Name == "Hadoop" {
+			hadoop = append(hadoop, w)
 		}
 	}
+	hp := slices.Concat(hadoop, suites.PARSEC())
+	passes := slices.Concat(hp, hp, hp, hp, workloads.MPI6()) // Figs. 6, 7, 8, then 9
+	budget := experiments.Quick().SweepBudget
+	for i := 0; i < b.N; i++ {
+		for _, w := range passes {
+			sw, err := machine.NewSweepSpec(machine.DefaultSweepSizesKB, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			workloads.Run(w, sw, budget)
+			if len(sw.Curves().Inst) == 0 {
+				b.Fatal("missing curves")
+			}
+		}
+	}
+	b.ReportMetric(float64(len(passes)), "trace-passes")
 }
 
 // BenchmarkSweepFiguresBlocked is the engine path: one trace pass per
 // workload (blocks decoded once into packed access streams, consumed
 // by the default stack-distance engine), all three views extracted
 // from it and shared by the four figures. The equivalence tests prove
-// its curves bit-identical to the serial reference.
+// its curves bit-identical to the per-instruction concrete-cache
+// oracle.
 func BenchmarkSweepFiguresBlocked(b *testing.B) {
 	var passes int64
 	for i := 0; i < b.N; i++ {
@@ -314,25 +334,15 @@ func BenchmarkSweepFiguresBlocked(b *testing.B) {
 const sweepPassBudget = 600_000
 
 // BenchmarkSweepPassSerial measures ONE cold sweep trace pass through
-// the retained per-instruction path — the pre-PR hot loop: a virtual
-// probe call per instruction, every cache accessed inline.
+// the per-instruction concrete-cache oracle: a virtual probe call per
+// instruction, every cache accessed inline.
 func BenchmarkSweepPassSerial(b *testing.B) {
 	w := Representative17()[14] // H-WordCount
 	for i := 0; i < b.N; i++ {
-		sw := machine.NewSweep(machine.DefaultSweepSizesKB)
-		workloads.Run(w, trace.Unblocked(sw), sweepPassBudget)
-	}
-	b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
-}
-
-// BenchmarkSweepPassBlocked measures the same pass through the block
-// pipeline: per-block decode into packed run-merged access streams,
-// caches replayed via the bulk path (parallel fan-out when cores
-// allow).
-func BenchmarkSweepPassBlocked(b *testing.B) {
-	w := Representative17()[14]
-	for i := 0; i < b.N; i++ {
-		sw := machine.NewSweep(machine.DefaultSweepSizesKB)
+		sw, err := machine.NewSweepSpec(machine.DefaultSweepSizesKB, 0, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		workloads.Run(w, sw, sweepPassBudget)
 	}
 	b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
@@ -340,9 +350,9 @@ func BenchmarkSweepPassBlocked(b *testing.B) {
 
 // BenchmarkSweepStackDist measures ONE cold sweep trace pass through
 // the stack-distance engine at the default geometry — the same pass
-// BenchmarkSweepPassBlocked prices through concrete-cache replay. The
+// BenchmarkSweepPassSerial prices through concrete caches. The
 // differential tests prove the curves bit-identical; this records what
-// the swap costs (or saves) on the single-geometry hot path.
+// the engine costs (or saves) on the single-geometry hot path.
 func BenchmarkSweepStackDist(b *testing.B) {
 	w := Representative17()[14] // H-WordCount
 	for i := 0; i < b.N; i++ {
@@ -392,27 +402,15 @@ func BenchmarkSweepMultiGeometry(b *testing.B) {
 
 // BenchmarkSweepFanout measures one cold sweep trace pass with the
 // block-replay fan-out pinned — the numbers behind the Parallelism
-// defaults (DESIGN.md "Sweep fan-out parallelism"). workers-N pins
-// Sweep, which distributes 30 independent caches per ~4096-instruction
-// block across the shared replay pool, to 1, 2, 4 and 8 in-flight
-// replays; stackdist-workers-N pins StackSweep over ways 1–32, which
-// distributes its three views (unified first), to 1 and 2. The win
-// tracks physical cores: on a single-core host every width converges
-// on the serial time (the pool adds only scheduling overhead). Width 1
+// default (DESIGN.md "Sweep fan-out parallelism"). stackdist-workers-N
+// pins StackSweep over ways 1–32, which distributes its three views
+// (unified first), to 1 and 2 in-flight replays. The win tracks
+// physical cores: on a single-core host every width converges on the
+// serial time (the pool adds only scheduling overhead). Width 1
 // replays serially in the caller (no pool hop) and is the floor every
 // width must not regress below on one core.
 func BenchmarkSweepFanout(b *testing.B) {
 	w := Representative17()[14] // H-WordCount
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sw := machine.NewSweep(machine.DefaultSweepSizesKB)
-				sw.Parallelism = workers
-				workloads.Run(w, sw, sweepPassBudget)
-			}
-			b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
-		})
-	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("stackdist-workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

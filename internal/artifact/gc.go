@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -186,6 +187,9 @@ func parseAge(s string) (time.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
+		if days < 0 || days > math.MaxInt64/int64(24*time.Hour) {
+			return 0, fmt.Errorf("age %q out of range", s)
+		}
 		return time.Duration(days) * 24 * time.Hour, nil
 	}
 	return time.ParseDuration(s)
@@ -208,6 +212,9 @@ func parseSize(s string) (int64, error) {
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
 	if err != nil {
 		return 0, err
+	}
+	if n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q out of range", s)
 	}
 	return n * mult, nil
 }

@@ -250,6 +250,7 @@ func TestParseGCSpec(t *testing.T) {
 	bad := []string{
 		"", " ", ",", "4GB,", "banana", "-4GB", "-24h", "0", "0h",
 		"4GB,2GB", "24h,36h", "4GB,168h,1MB", "1.5GB",
+		"16777217TB", "-16777215TB", "213504d", "-106752d",
 	}
 	for _, spec := range bad {
 		if p, err := ParseGCSpec(spec); err == nil {

@@ -46,6 +46,7 @@ func TestParseQuotaSpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "   ", "nonsense", "0B", "-1MB", "256MB,1GB", "30m,2h",
 		"=64MB", "render=", "render=bogus", "render=0B", "x=1MB,x=2MB",
+		"16777217TB", "-16777215TB", "datagen=16777217TB", "213504d", "-106752d",
 	} {
 		if q, err := ParseQuotaSpec(bad); err == nil {
 			t.Fatalf("ParseQuotaSpec(%q) = %+v, want error", bad, q)

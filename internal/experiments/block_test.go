@@ -20,24 +20,25 @@ func blockTestWorkloads() []workloads.Workload {
 }
 
 // TestBlockReplayEquivalence is the end-to-end differential guarantee
-// behind the block pipeline: for real workloads, sweep curves produced
-// through block replay — at sizes 1, a prime, an exact budget divisor
-// and the budget-truncating default — are bit-identical to the
-// retained per-instruction serial path, with serial and parallel cache
-// fan-out.
+// behind the block pipeline: for real workloads, stack-distance sweep
+// curves produced through block replay — at sizes 1, a prime, an exact
+// budget divisor and the budget-truncating default, with serial and
+// parallel view fan-out — are bit-identical to the per-instruction
+// concrete-cache oracle.
 func TestBlockReplayEquivalence(t *testing.T) {
 	const budget = 50_000
 	for _, w := range blockTestWorkloads() {
-		ref := machine.NewSweep(machine.DefaultSweepSizesKB)
-		workloads.Run(w, trace.Unblocked(ref), budget)
-		want := ref.Curves()
+		want := oracleCurves(t, w, budget, machine.DefaultSweepSizesKB, 0, 0)
 		for _, bs := range []int{1, 7, 10_000, trace.DefaultBlockSize} {
 			for _, par := range []int{1, 4} {
-				sw := machine.NewSweep(machine.DefaultSweepSizesKB)
+				sw, err := machine.NewStackSweep(0, machine.SweepGeometry{SizesKB: machine.DefaultSweepSizesKB})
+				if err != nil {
+					t.Fatal(err)
+				}
 				sw.Parallelism = par
 				workloads.RunBlock(w, sw, budget, bs)
-				if got := sw.Curves(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: block %d par %d: curves != serial", w.ID, bs, par)
+				if got := sw.Curves(0); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: block %d par %d: curves != oracle", w.ID, bs, par)
 				}
 			}
 		}
@@ -84,15 +85,8 @@ func TestSessionParallelismInvariant(t *testing.T) {
 }
 
 // TestSerialFiguresMatchEngineFigures re-pins the seed-path invariant
-// now that the engine path replays blocks and the serial path stays
-// per-instruction: both must produce identical curves.
+// at the larger sweep budget: the engine's block-replayed stack-distance
+// figures must equal per-instruction concrete-cache passes bit for bit.
 func TestSerialFiguresMatchEngineFigures(t *testing.T) {
-	s := NewSession(Options{Budget: 50_000, SweepBudget: 40_000, RosterBudget: 40_000})
-	serial := SerialSweepFigures(s)
-	engine := [4]SweepResult{Fig6(s), Fig7(s), Fig8(s), Fig9(s)}
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i].Curves, engine[i].Curves) {
-			t.Fatalf("figure %d: serial and engine curves differ", i+6)
-		}
-	}
+	assertFiguresMatchOracle(t, NewSession(Options{Budget: 50_000, SweepBudget: 40_000, RosterBudget: 40_000}))
 }

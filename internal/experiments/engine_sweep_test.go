@@ -9,15 +9,15 @@ import (
 )
 
 // oracleCurves fills one geometry's curves through the concrete-cache
-// reference: one machine.NewSweepSpec pass over the workload's trace,
-// delivered in blocks as a session delivers it.
+// oracle: one machine.NewSweepSpec pass over the workload's trace,
+// every cache accessed instruction by instruction.
 func oracleCurves(t *testing.T, w workloads.Workload, budget int64, sizes []int, ways, line int) machine.Curves {
 	t.Helper()
 	sw, err := machine.NewSweepSpec(sizes, ways, line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	workloads.RunBlock(w, sw, budget, 0)
+	workloads.Run(w, sw, budget)
 	return sw.Curves()
 }
 

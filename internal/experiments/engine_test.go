@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
 
@@ -34,8 +36,8 @@ func visibleExceptReduction() []string {
 
 // TestSweepSingleTracePass is the counting probe of the memoized sweep
 // cache: generating all four sweep figures must trace each distinct
-// workload exactly once, not once per figure per view (the seed's 10
-// group passes).
+// workload exactly once, not once per figure per view (the seed's 9
+// group sweeps, 50 passes).
 func TestSweepSingleTracePass(t *testing.T) {
 	s := NewSession(tinyOptions())
 	Fig6(s)
@@ -54,37 +56,86 @@ func TestSweepSingleTracePass(t *testing.T) {
 	}
 }
 
-// TestMemoizedSweepsMatchSerial asserts the memoized concurrent sweep
-// path reproduces the seed's serial path bit for bit: same curves, same
-// knees, for every figure and group.
-func TestMemoizedSweepsMatchSerial(t *testing.T) {
-	serial := SerialSweepFigures(NewSession(tinyOptions()))
-	s := tinySession
-	memo := [4]SweepResult{Fig6(s), Fig7(s), Fig8(s), Fig9(s)}
-	for f := range serial {
-		want, got := serial[f], memo[f]
-		if want.Title != got.Title {
-			t.Fatalf("figure %d title %q vs %q", f, got.Title, want.Title)
+// oracleGroup averages one view of the group's curves from per-workload
+// concrete-cache oracle passes at the paper's geometry, in input order
+// as sweepGroup averages. Passes are memoized in oracle by workload ID.
+func oracleGroup(t *testing.T, oracle map[string]machine.Curves, list []workloads.Workload, budget int64, view func(machine.Curves) []float64) []float64 {
+	t.Helper()
+	sizes := machine.DefaultSweepSizesKB
+	sum := make([]float64, len(sizes))
+	for _, w := range list {
+		c, ok := oracle[w.ID]
+		if !ok {
+			c = oracleCurves(t, w, budget, sizes, 0, 0)
+			oracle[w.ID] = c
 		}
-		for _, name := range want.Order {
+		for i, v := range view(c) {
+			sum[i] += v
+		}
+	}
+	for i := range sum {
+		sum[i] /= float64(len(list))
+	}
+	return sum
+}
+
+// assertFiguresMatchOracle checks Figs. 6-9 as the session renders
+// them against the per-instruction concrete-cache oracle at the
+// session's sweep budget: same groups, and bit for bit the same curves
+// and knees for every figure and group.
+func assertFiguresMatchOracle(t *testing.T, s *Session) {
+	t.Helper()
+	groups := map[string][]workloads.Workload{
+		"Hadoop-workloads": hadoopGroup(),
+		"PARSEC-workloads": parsecGroup(),
+		"MPI-workloads":    workloads.MPI6(),
+	}
+	hp := []string{"Hadoop-workloads", "PARSEC-workloads"}
+	figures := [4]struct {
+		run   func(*Session) SweepResult
+		view  func(machine.Curves) []float64
+		order []string
+	}{
+		{Fig6, curveInst, hp},
+		{Fig7, curveData, hp},
+		{Fig8, curveUnified, hp},
+		{Fig9, curveInst, []string{"Hadoop-workloads", "PARSEC-workloads", "MPI-workloads"}},
+	}
+	budget := s.Opt.SweepBudget
+	oracle := map[string]machine.Curves{}
+	for _, f := range figures {
+		got := f.run(s)
+		if !slices.Equal(got.Order, f.order) || len(got.Curves) != len(f.order) {
+			t.Fatalf("budget %d: %s groups %v, want %v", budget, got.Title, got.Order, f.order)
+		}
+		want := SweepResult{SizesKB: got.SizesKB, Curves: map[string][]float64{}}
+		for _, name := range f.order {
+			want.Curves[name] = oracleGroup(t, oracle, groups[name], budget, f.view)
 			wc, gc := want.Curves[name], got.Curves[name]
 			if len(wc) != len(gc) {
-				t.Fatalf("%s/%s: %d sizes vs %d", want.Title, name, len(gc), len(wc))
+				t.Fatalf("budget %d: %s/%s: %d sizes vs %d", budget, got.Title, name, len(gc), len(wc))
 			}
 			for i := range wc {
 				if math.Float64bits(wc[i]) != math.Float64bits(gc[i]) {
-					t.Errorf("%s/%s at %d KB: memoized %v != serial %v",
-						want.Title, name, want.SizesKB[i], gc[i], wc[i])
+					t.Errorf("budget %d: %s/%s at %d KB: memoized %v != oracle %v",
+						budget, got.Title, name, got.SizesKB[i], gc[i], wc[i])
 				}
 			}
 			for _, frac := range []float64{0.15, 0.2, 0.25} {
 				if want.Knee(name, frac) != got.Knee(name, frac) {
-					t.Errorf("%s/%s knee(%.2f): memoized %d != serial %d",
-						want.Title, name, frac, got.Knee(name, frac), want.Knee(name, frac))
+					t.Errorf("budget %d: %s/%s knee(%.2f): memoized %d != oracle %d",
+						budget, got.Title, name, frac, got.Knee(name, frac), want.Knee(name, frac))
 				}
 			}
 		}
 	}
+}
+
+// TestMemoizedSweepsMatchSerial asserts the memoized concurrent sweep
+// path on the shared tiny session reproduces the per-instruction
+// concrete-cache oracle bit for bit.
+func TestMemoizedSweepsMatchSerial(t *testing.T) {
+	assertFiguresMatchOracle(t, tinySession)
 }
 
 // renderAll renders every visible artifact of an engine run in order.

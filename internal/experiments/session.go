@@ -27,7 +27,7 @@ type Options struct {
 	// Budget is the instruction budget per workload run.
 	Budget int64
 	// SweepBudget is the budget per workload in the Fig. 6-9 cache
-	// sweeps (they simulate 30 caches per instruction).
+	// sweeps, and a scenario's budget when it sets none.
 	SweepBudget int64
 	// RosterBudget is the budget per workload in the 77-workload
 	// reduction.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim/machine"
-	"repro/internal/sim/trace"
 	"repro/internal/suites"
 	"repro/internal/workloads"
 )
@@ -27,47 +26,22 @@ func curveInst(c machine.Curves) []float64    { return c.Inst }
 func curveData(c machine.Curves) []float64    { return c.Data }
 func curveUnified(c machine.Curves) []float64 { return c.Unified }
 
-// sweepGroup averages one view of the group's miss-ratio curves. Each
-// workload's trace is pulled from the session's memoized sweep cache
-// (generated at most once per session, all three views from a single
-// pass) and cache fills run through a bounded worker pool, mirroring
-// core.Profiler.ProfileAll. The averaging itself accumulates in input
-// order so the result is bit-identical to the serial reference path.
+// sweepGroup averages one view of the group's miss-ratio curves at the
+// paper's default geometry. Each workload's trace is pulled from the
+// session's memoized sweep cache (generated at most once per session,
+// all three views from a single pass) and cache fills run through a
+// bounded worker pool, mirroring core.Profiler.ProfileAll.
 func sweepGroup(s *Session, list []workloads.Workload, view func(machine.Curves) []float64) []float64 {
-	return sweepGroupSpec(s, list, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, 0, 0, view)
+	return sweepGroupMulti(s, list, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0, view)[0]
 }
 
-// sweepGroupSpec is sweepGroup with explicit budget, sizes and cache
-// geometry — shared by the paper figures (defaults) and ad-hoc
-// scenario requests (any combination). Averaging accumulates in input
-// order, so a given selection is bit-identical however it is computed.
-func sweepGroupSpec(s *Session, list []workloads.Workload, budget int64, sizes []int, ways, lineBytes int, view func(machine.Curves) []float64) []float64 {
-	curves := make([]machine.Curves, len(list))
-	err := conc.ForEachCtx(s.Ctx, s.Parallelism, len(list), func(i int) {
-		curves[i] = s.SweepCurvesSpec(list[i], budget, sizes, ways, lineBytes)
-	})
-	if err != nil {
-		panic(canceledErr{err}) // torn curve set: unwind, never average
-	}
-	sum := make([]float64, len(sizes))
-	for _, c := range curves {
-		for i, v := range view(c) {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] /= float64(len(list))
-	}
-	return sum
-}
-
-// sweepGroupMulti is sweepGroupSpec over several associativities at
-// once: each workload's still-cold geometries fill from one shared
-// stack-distance trace pass (SweepCurvesMulti), and the result holds
-// one averaged curve per entry of waysList. The averaging accumulates
-// in the same input order as sweepGroupSpec, so a multi-geometry
-// request's curves are bit-identical to the equivalent single-geometry
-// requests run one by one.
+// sweepGroupMulti averages one view of the group's curves at each
+// associativity of waysList: each workload's still-cold geometries
+// fill from one shared stack-distance trace pass (SweepCurvesMulti),
+// and the result holds one averaged curve per entry of waysList. The
+// averaging accumulates in input order, so a multi-geometry request's
+// curves are bit-identical to the equivalent single-geometry requests
+// run one by one.
 func sweepGroupMulti(s *Session, list []workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int, view func(machine.Curves) []float64) [][]float64 {
 	curves := make([][]machine.Curves, len(list))
 	err := conc.ForEachCtx(s.Ctx, s.Parallelism, len(list), func(i int) {
@@ -90,78 +64,6 @@ func sweepGroupMulti(s *Session, list []workloads.Workload, budget int64, sizes 
 		out[g] = sum
 	}
 	return out
-}
-
-// sweepGroupSerial is the seed's reference implementation: a fresh
-// machine.Sweep and a full trace pass per workload per call, delivered
-// per-instruction (trace.Unblocked pins the pre-PR path: no block
-// decode, every cache accessed inline instruction by instruction).
-// Retained for the equivalence tests and the serial-vs-block
-// benchmarks.
-func sweepGroupSerial(list []workloads.Workload, budget int64, view func(*machine.Sweep) []float64) []float64 {
-	sizes := machine.DefaultSweepSizesKB
-	sum := make([]float64, len(sizes))
-	for _, w := range list {
-		sw := machine.NewSweep(sizes)
-		workloads.Run(w, trace.Unblocked(sw), budget)
-		for i, v := range view(sw) {
-			sum[i] += v
-		}
-	}
-	for i := range sum {
-		sum[i] /= float64(len(list))
-	}
-	return sum
-}
-
-// SerialSweepFigures regenerates Figs. 6-9 exactly as the seed did —
-// re-tracing the Hadoop and PARSEC groups once per figure and per
-// view, 10 group passes in all — bypassing the session sweep cache.
-// It is the reference the memoized engine is tested and benchmarked
-// against; new callers want Fig6..Fig9.
-func SerialSweepFigures(s *Session) [4]SweepResult {
-	b := s.Opt.SweepBudget
-	sizes := machine.DefaultSweepSizesKB
-	hp := []string{"Hadoop-workloads", "PARSEC-workloads"}
-	return [4]SweepResult{
-		{
-			Title:   "Figure 6: instruction cache miss ratio vs cache size",
-			SizesKB: sizes,
-			Order:   hp,
-			Curves: map[string][]float64{
-				"Hadoop-workloads": sweepGroupSerial(hadoopGroup(), b, (*machine.Sweep).InstMissRatios),
-				"PARSEC-workloads": sweepGroupSerial(parsecGroup(), b, (*machine.Sweep).InstMissRatios),
-			},
-		},
-		{
-			Title:   "Figure 7: data cache miss ratio vs cache size",
-			SizesKB: sizes,
-			Order:   hp,
-			Curves: map[string][]float64{
-				"Hadoop-workloads": sweepGroupSerial(hadoopGroup(), b, (*machine.Sweep).DataMissRatios),
-				"PARSEC-workloads": sweepGroupSerial(parsecGroup(), b, (*machine.Sweep).DataMissRatios),
-			},
-		},
-		{
-			Title:   "Figure 8: cache miss ratio vs cache size",
-			SizesKB: sizes,
-			Order:   hp,
-			Curves: map[string][]float64{
-				"Hadoop-workloads": sweepGroupSerial(hadoopGroup(), b, (*machine.Sweep).UnifiedMissRatios),
-				"PARSEC-workloads": sweepGroupSerial(parsecGroup(), b, (*machine.Sweep).UnifiedMissRatios),
-			},
-		},
-		{
-			Title:   "Figure 9: instruction cache miss ratio vs cache size (with MPI)",
-			SizesKB: sizes,
-			Order:   []string{"Hadoop-workloads", "PARSEC-workloads", "MPI-workloads"},
-			Curves: map[string][]float64{
-				"Hadoop-workloads": sweepGroupSerial(hadoopGroup(), b, (*machine.Sweep).InstMissRatios),
-				"PARSEC-workloads": sweepGroupSerial(parsecGroup(), b, (*machine.Sweep).InstMissRatios),
-				"MPI-workloads":    sweepGroupSerial(workloads.MPI6(), b, (*machine.Sweep).InstMissRatios),
-			},
-		},
-	}
 }
 
 // hadoopGroup returns the Hadoop-stack workloads the paper's §5.4 case

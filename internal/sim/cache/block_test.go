@@ -1,120 +1,6 @@
 package cache
 
-import (
-	"testing"
-
-	"repro/internal/xrand"
-)
-
-// genStream builds a reproducible access stream with sequential runs
-// (mergeable), random jumps, and mixed writes.
-func genStream(seed uint64, n int) []struct {
-	addr  uint64
-	write bool
-} {
-	rng := xrand.New(seed)
-	out := make([]struct {
-		addr  uint64
-		write bool
-	}, 0, n)
-	addr := uint64(0x10000)
-	for len(out) < n {
-		switch rng.Uint64n(4) {
-		case 0: // sequential run within and across lines
-			run := int(rng.Uint64n(20)) + 1
-			for i := 0; i < run && len(out) < n; i++ {
-				out = append(out, struct {
-					addr  uint64
-					write bool
-				}{addr, rng.Uint64n(5) == 0})
-				addr += 8
-			}
-		case 1: // random jump
-			addr = rng.Uint64n(1 << 22)
-		default: // re-touch the current line
-			out = append(out, struct {
-				addr  uint64
-				write bool
-			}{addr, rng.Uint64n(3) == 0})
-		}
-	}
-	return out
-}
-
-// replayState snapshots everything observable about a cache after a
-// replay, plus behavioural probes (a follow-up access pattern) that
-// expose replacement-state differences the counters might mask.
-type replayState struct {
-	accesses, misses, writebacks uint64
-	probeHits                    int
-}
-
-func runSerial(cfg Config, seed uint64, n int) (*Cache, replayState) {
-	c := New(cfg)
-	for _, a := range genStream(seed, n) {
-		c.Access(a.addr, a.write)
-	}
-	return c, snapshot(c)
-}
-
-func runBlocked(cfg Config, seed uint64, n, chunk int) (*Cache, replayState) {
-	c := New(cfg)
-	stream := genStream(seed, n)
-	var recs []Rec
-	flush := func() {
-		c.AccessBlock(recs)
-		recs = recs[:0]
-	}
-	for i, a := range stream {
-		line := a.addr >> c.LineShift()
-		if len(recs) == 0 || !TryMerge(&recs[len(recs)-1], line, a.write) {
-			recs = append(recs, PackRec(line, a.write))
-		}
-		if (i+1)%chunk == 0 {
-			flush()
-		}
-	}
-	flush()
-	return c, snapshot(c)
-}
-
-// snapshot reads the counters, then probes replacement state by
-// counting hits over a fixed follow-up pattern (which itself perturbs
-// the cache, so call it exactly once, last).
-func snapshot(c *Cache) replayState {
-	s := replayState{accesses: c.Accesses, misses: c.Misses, writebacks: c.Writebacks}
-	rng := xrand.New(99)
-	for i := 0; i < 2000; i++ {
-		a, m := c.Accesses, c.Misses
-		c.Access(rng.Uint64n(1<<22), false)
-		if c.Misses == m && c.Accesses == a+1 {
-			s.probeHits++
-		}
-	}
-	return s
-}
-
-// TestAccessBlockMatchesAccess proves the bulk path leaves counters
-// and replacement state bit-identical to per-access replay, across
-// power-of-two and non-power-of-two set counts and across chunk
-// boundaries that split runs.
-func TestAccessBlockMatchesAccess(t *testing.T) {
-	cfgs := []Config{
-		{Name: "pow2", Size: 16 << 10, Ways: 8, LineSize: 64, Latency: 1},
-		{Name: "pow2-big", Size: 1 << 20, Ways: 8, LineSize: 64, Latency: 1},
-		{Name: "nonpow2", Size: 3 * 64 * 4 * 16, Ways: 4, LineSize: 64, Latency: 1}, // 48 sets
-		{Name: "narrow", Size: 2 << 10, Ways: 2, LineSize: 64, Latency: 1},
-	}
-	for _, cfg := range cfgs {
-		_, want := runSerial(cfg, 42, 20000)
-		for _, chunk := range []int{1, 7, 1000, 4096, 20000} {
-			_, got := runBlocked(cfg, 42, 20000, chunk)
-			if got != want {
-				t.Fatalf("%s chunk %d: blocked %+v != serial %+v", cfg.Name, chunk, got, want)
-			}
-		}
-	}
-}
+import "testing"
 
 // TestTryMergeSemantics pins the record packing: merges accumulate the
 // run counter and OR the write flag, refuse line changes, and saturate.
@@ -123,7 +9,7 @@ func TestTryMergeSemantics(t *testing.T) {
 	if !TryMerge(&r, 5, true) {
 		t.Fatal("same-line merge refused")
 	}
-	if r>>recCountShift != 1 || r&1 != 1 || (r>>1)&recLineMask != 5 {
+	if RecRun(r) != 1 || !RecWrite(r) || RecLine(r) != 5 {
 		t.Fatalf("merged record malformed: %#x", r)
 	}
 	if TryMerge(&r, 6, false) {
@@ -138,19 +24,8 @@ func TestTryMergeSemantics(t *testing.T) {
 	if TryMerge(&r, 7, false) {
 		t.Fatal("merge beyond the run counter's range")
 	}
-	// A saturated record replays with its full count.
-	c := New(Config{Name: "sat", Size: 16 << 10, Ways: 8, LineSize: 64, Latency: 1})
-	c.AccessBlock([]Rec{r})
-	if c.Accesses != uint64(recCountMax)+1 || c.Misses != 1 {
-		t.Fatalf("saturated record: %d accesses, %d misses", c.Accesses, c.Misses)
-	}
-}
-
-// TestAccessBlockEmpty checks the no-op edge.
-func TestAccessBlockEmpty(t *testing.T) {
-	c := New(Config{Name: "e", Size: 16 << 10, Ways: 8, LineSize: 64, Latency: 1})
-	c.AccessBlock(nil)
-	if c.Accesses != 0 {
-		t.Fatal("empty block counted accesses")
+	// A saturated record keeps its full count, line and flag.
+	if RecRun(r) != recCountMax || RecLine(r) != 7 || RecWrite(r) {
+		t.Fatalf("saturated record malformed: run %d, line %d, write %v", RecRun(r), RecLine(r), RecWrite(r))
 	}
 }

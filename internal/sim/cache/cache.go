@@ -139,10 +139,6 @@ func position(r, w uint64) uint {
 	return uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
 }
 
-// LineShift returns log2 of the line size — the shift callers packing
-// AccessBlock records must apply to byte addresses.
-func (c *Cache) LineShift() uint { return c.lineShift }
-
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -219,17 +215,16 @@ func (c *Cache) lookup(line uint64, write bool) (hit, dirtyEvict bool) {
 	return false, dirtyEvict
 }
 
-// A Rec is one packed access run for AccessBlock: the cache-line
-// address (the byte address shifted down by LineShift) in bits 1..47,
-// the write flag in bit 0, and a run counter in the top 16 bits — a
-// record stands for 1 + counter back-to-back accesses to its line,
-// with the write flag OR-ed over the run. Packing drops everything
-// Access recomputes per call (offset bits, op class, sizes) and
-// run-merging drops the accesses themselves: after the first access
-// of a run the line is its set's most recently used way, so the rest
-// can only bump the counters and accumulate dirtiness — O(1) on the
-// merged record, and exactly what Access would have done one call at
-// a time.
+// A Rec is one packed access run of a block-decoded stream: the
+// cache-line address (the byte address shifted down by log2 of the
+// line size) in bits 1..47, the write flag in bit 0, and a run counter
+// in the top 16 bits — a record stands for 1 + counter back-to-back
+// accesses to its line, with the write flag OR-ed over the run.
+// Packing drops everything Access recomputes per call (offset bits, op
+// class, sizes) and run-merging drops the accesses themselves: after
+// the first access of a run the line is its set's most recently used
+// way, so the rest can only bump the counters and accumulate dirtiness
+// — what calling Access RecRun+1 times on the record's line would do.
 type Rec = uint64
 
 const (
@@ -241,7 +236,7 @@ const (
 	recCountMax = 1<<(64-recCountShift) - 1
 )
 
-// PackRec builds the AccessBlock record for a single access.
+// PackRec builds the record for a single access.
 func PackRec(line uint64, write bool) Rec {
 	r := line << 1
 	if write {
@@ -252,7 +247,7 @@ func PackRec(line uint64, write bool) Rec {
 
 // TryMerge folds one access into the immediately preceding record when
 // it targets the same line and the run counter has room, returning
-// whether it merged. Decoders call it once per access; every cache
+// whether it merged. Decoders call it once per access; every consumer
 // replaying the stream then gets the run for free.
 func TryMerge(prev *Rec, line uint64, write bool) bool {
 	p := *prev
@@ -268,8 +263,8 @@ func TryMerge(prev *Rec, line uint64, write bool) bool {
 }
 
 // RecLine extracts a record's line address — the inverse of PackRec,
-// exported so other replay engines (the stack-distance sweep) can
-// consume the same packed streams the block decoders produce.
+// exported so the stack-distance sweep can consume the packed streams
+// the block decoder produces.
 func RecLine(r Rec) uint64 { return (r >> 1) & recLineMask }
 
 // RecRun extracts a record's merged-run count: the number of *extra*
@@ -279,73 +274,6 @@ func RecRun(r Rec) uint64 { return r >> recCountShift }
 
 // RecWrite reports whether any access of the record's run wrote.
 func RecWrite(r Rec) bool { return r&1 != 0 }
-
-// AccessBlock replays a packed record stream through the cache:
-// exactly equivalent — counter-for-counter and bit-for-bit in
-// replacement state — to calling Access(line<<LineShift, write) for
-// each record in order, but with the per-call overhead hoisted out of
-// the loop: set indexing uses the power-of-two mask instead of %,
-// array bases live in locals (one bounds-check region per set scan),
-// and the demand counters accumulate per block instead of per access.
-//
-// The sweep experiments fan 30 of these out per block; each cache's
-// state is touched by exactly one AccessBlock call at a time.
-func (c *Cache) AccessBlock(recs []Rec) {
-	if len(recs) == 0 {
-		return
-	}
-	meta, stride, lruShift := c.meta, c.stride, c.lruShift
-	sets, setMask, pow2 := c.sets, c.setMask, c.pow2
-	lastTag, lastIdx := c.lastTag, c.lastIdx
-	var accesses, misses, writebacks uint64
-	for _, rec := range recs {
-		line := (rec >> 1) & recLineMask
-		wbit := (rec & 1) << 63 // dirtyBit iff the run wrote
-		tag := line + 1         // 0 stays "invalid"
-		// A record's whole run retires here: after its first access
-		// the line is the set's most recently used way, so the rest
-		// of the run only counts and accumulates dirtiness.
-		accesses += rec>>recCountShift + 1
-		if tag == lastTag {
-			meta[lastIdx] |= wbit
-			continue
-		}
-		var setNo uint64
-		if pow2 {
-			setNo = line & setMask
-		} else {
-			setNo = line % sets
-		}
-		set := setNo * stride
-		r := meta[set]
-		tags := meta[set+1 : set+stride]
-		w := uint64(len(tags))
-		for k, t := range tags {
-			if t&^dirtyBit == tag {
-				w = uint64(k)
-				break
-			}
-		}
-		s := lruShift
-		if w < uint64(len(tags)) {
-			s = position(r, w)
-		} else {
-			misses++
-			w = r >> s & 15
-			if tags[w]&dirtyBit != 0 {
-				writebacks++
-			}
-			tags[w] = tag
-		}
-		tags[w] |= wbit
-		meta[set] = toFront(r, s)
-		lastTag, lastIdx = tag, set+1+w
-	}
-	c.lastTag, c.lastIdx = lastTag, lastIdx
-	c.Accesses += accesses
-	c.Misses += misses
-	c.Writebacks += writebacks
-}
 
 // Touch installs addr without affecting the demand counters; it is
 // the fill path used by the prefetcher. Returns true if the line was

@@ -58,10 +58,9 @@ func (r *refLRU) access(line uint64, write bool) bool {
 
 // TestCacheMatchesReferenceLRU drives the recency-word cache and the
 // naive reference with the same seeded streams — demand accesses, the
-// inlinable repeat, prefetch touches and packed blocks with merged
-// runs, a fifth of them writes — over every associativity the cache
-// holds and power-of-two and other set counts. Every per-access
-// outcome and every counter must agree.
+// inlinable repeat and prefetch touches, a fifth of them writes — over
+// every associativity the cache holds and power-of-two and other set
+// counts. Every per-access outcome and every counter must agree.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	const lineSize = 64
 	for ways := 1; ways <= MaxWays; ways++ {
@@ -89,7 +88,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			}
 			prev := ^uint64(0) // line of the previous lookup of any kind
 			for step := 0; step < 3000; step++ {
-				switch op := rng.Uint64n(10); {
+				switch op := rng.Uint64n(8); {
 				case op < 5:
 					line, write := next()
 					check(step, "Access", c.Access(line*lineSize+rng.Uint64n(lineSize), write), ref.access(line, write))
@@ -106,23 +105,11 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 						check(step, "Repeat", true, ref.access(line, write))
 					}
 					prev = line
-				case op < 8:
+				default:
 					line, write := next()
 					hit, _ := ref.lookup(line, write)
 					check(step, "Touch", c.Touch(line*lineSize, write), hit)
 					prev = line
-				default:
-					var recs []Rec
-					for k := int(rng.Uint64n(12)); k >= 0; k-- {
-						line, write := next()
-						ref.access(line, write)
-						if len(recs) == 0 || !TryMerge(&recs[len(recs)-1], line, write) {
-							recs = append(recs, PackRec(line, write))
-						}
-						prev = line
-					}
-					c.AccessBlock(recs)
-					check(step, "AccessBlock", true, true)
 				}
 			}
 		}

@@ -110,7 +110,10 @@ func TestFootprintTracking(t *testing.T) {
 }
 
 func TestSweepMonotonic(t *testing.T) {
-	s := NewSweep(DefaultSweepSizesKB)
+	s, err := NewSweepSpec(DefaultSweepSizesKB, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := mem.NewLayout()
 	r := trace.NewRoutine(l, "k", 512<<10)
 	e := trace.NewEmitter(s, 50000)
@@ -122,7 +125,8 @@ func TestSweepMonotonic(t *testing.T) {
 	for e.OK() {
 		st.Emit(e, r, e.Emitted()%r.Size, 1000)
 	}
-	for _, view := range [][]float64{s.InstMissRatios(), s.DataMissRatios(), s.UnifiedMissRatios()} {
+	c := s.Curves()
+	for _, view := range [][]float64{c.Inst, c.Data, c.Unified} {
 		for i := 1; i < len(view); i++ {
 			// LRU stack property: bigger caches never miss more
 			// (allow a sliver of noise from set-count changes).

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"sync"
 
+	"repro/internal/conc"
 	"repro/internal/sim/cache"
 	"repro/internal/sim/isa"
 	"repro/internal/sim/stackdist"
@@ -113,17 +115,19 @@ func (g SweepGeometry) ways() int {
 // stackdist.Family, which skips a record at every set count refining
 // one where the record was already on top of its set.
 //
-// It consumes exactly the streams Sweep does (the shared blockDecoder:
-// I-line dedup, D-side run merging, unified interleaving) and its
-// Curves are bit-identical to Sweep's for every geometry — Sweep
-// remains the differential oracle proving that.
+// Its Curves are bit-identical to those of Sweep, the per-access
+// concrete-cache oracle, for every geometry Sweep can build; the
+// differential tests prove it.
 //
-// Like Sweep it implements both trace.Probe (serial reference, every
-// accumulator fed every access) and trace.BlockProbe (the hot path,
-// with the three views fanned out across the shared replay pool).
+// It implements trace.BlockProbe (the hot path: each block decoded
+// once, the three views fanned out across the shared replay pool) and
+// trace.Probe, as an adapter over the block path.
 type StackSweep struct {
-	// Parallelism bounds the per-view fan-out of block replay, as
-	// Sweep.Parallelism does for caches.
+	// Parallelism bounds the per-view fan-out of block replay: 1
+	// replays serially in the calling goroutine; other values fan the
+	// views out across the shared replay pool with at most Parallelism
+	// in flight (0 = no bound beyond the pool). The views are
+	// independent, so every setting yields the same curves.
 	Parallelism int
 
 	// Cancel, when non-nil, makes InstBlock drain without accounting
@@ -181,33 +185,13 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 // (Ways resolved to the default where 0 was passed).
 func (s *StackSweep) Geometries() []SweepGeometry { return s.geoms }
 
-// Inst implements trace.Probe — the serial reference, accounting every
-// access inline into every accumulator, unpruned, with the same I-line
-// dedup Sweep.Inst applies. Run merging is a block-path packing detail;
-// the per-access and packed forms accumulate identical histograms (a
-// merged repeat is a depth-0 hit by construction).
-func (s *StackSweep) Inst(i *isa.Inst) {
-	uni, inst, data := s.views[0].Stacks(), s.views[1].Stacks(), s.views[2].Stacks()
-	if line := i.PC >> s.lineShift; line != s.lastILine {
-		s.lastILine = line
-		for k := range inst {
-			inst[k].Access(line, 0)
-			uni[k].Access(line, 0)
-		}
-	}
-	if i.Op == isa.Load || i.Op == isa.Store {
-		line := i.Addr >> s.lineShift
-		for k := range data {
-			data[k].Access(line, 0)
-			uni[k].Access(line, 0)
-		}
-	}
-}
+// Inst implements trace.Probe: InstBlock over a block of one.
+func (s *StackSweep) Inst(i *isa.Inst) { s.InstBlock([]isa.Inst{*i}) }
 
-// InstBlock implements trace.BlockProbe: decode once (shared with
-// Sweep), then replay each view's stream into its family. Each family
-// is owned by exactly one worker and the streams are read-only during
-// the fan-out, so any schedule produces the same histograms.
+// InstBlock implements trace.BlockProbe: decode once, then replay each
+// view's stream into its family. Each family is owned by exactly one
+// worker and the streams are read-only during the fan-out, so any
+// schedule produces the same histograms.
 func (s *StackSweep) InstBlock(block []isa.Inst) {
 	if s.Cancel != nil {
 		select {
@@ -251,4 +235,70 @@ func (s *StackSweep) Curves(g int) Curves {
 		out.Data[j] = s.views[2].Stack(sets).MissRatio(geom.Ways)
 	}
 	return out
+}
+
+// replayPool is the process-wide worker pool behind every stack
+// sweep's per-view fan-out, created on first parallel replay. Sharing
+// one GOMAXPROCS-sized pool amortizes goroutine creation across the
+// thousands of blocks a trace pass delivers and caps total replay
+// concurrency at the machine regardless of how many sweeps run at
+// once (sweepGroup fans workloads out on top of this).
+var (
+	replayPoolOnce sync.Once
+	replayPool     *conc.Pool
+)
+
+func sharedReplayPool() *conc.Pool {
+	replayPoolOnce.Do(func() { replayPool = conc.NewPool(0) })
+	return replayPool
+}
+
+// blockDecoder turns instruction blocks into the three packed access
+// streams StackSweep replays: instruction lines (adjacent duplicates
+// dropped, with the dedup state carried across blocks), data lines
+// (consecutive same-line accesses merged into runs) and the unified
+// interleaving (its own stream — order matters to LRU state).
+type blockDecoder struct {
+	lastILine uint64
+	lineShift uint
+
+	// Per-block scratch streams, reused across blocks.
+	iRecs, dRecs, uRecs []cache.Rec
+}
+
+// decode repacks one block, leaving the streams in iRecs/dRecs/uRecs
+// (valid until the next call).
+func (d *blockDecoder) decode(block []isa.Inst) {
+	iRecs, dRecs, uRecs := d.iRecs[:0], d.dRecs[:0], d.uRecs[:0]
+	last := d.lastILine
+	shift := d.lineShift
+	for k := range block {
+		i := &block[k]
+		if line := i.PC >> shift; line != last {
+			last = line
+			// Adjacent I records always name different lines (that is
+			// the dedup), so no run merging is possible on the I side;
+			// in the unified stream the preceding record can only be a
+			// different I line or a data line from a disjoint region.
+			rec := cache.PackRec(line, false)
+			iRecs = append(iRecs, rec)
+			uRecs = append(uRecs, rec)
+		}
+		if i.Op == isa.Load || i.Op == isa.Store {
+			line := i.Addr >> shift
+			write := i.Op == isa.Store
+			// Sequential scans revisit a 64-byte line several times in
+			// a row; merging the run into one record makes the revisit
+			// O(1) in every consumer replaying it (the line is MRU
+			// after its first access — only counters can change).
+			if len(dRecs) == 0 || !cache.TryMerge(&dRecs[len(dRecs)-1], line, write) {
+				dRecs = append(dRecs, cache.PackRec(line, write))
+			}
+			if len(uRecs) == 0 || !cache.TryMerge(&uRecs[len(uRecs)-1], line, write) {
+				uRecs = append(uRecs, cache.PackRec(line, write))
+			}
+		}
+	}
+	d.lastILine = last
+	d.iRecs, d.dRecs, d.uRecs = iRecs, dRecs, uRecs
 }

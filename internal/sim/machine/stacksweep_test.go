@@ -40,7 +40,6 @@ func TestStackSweepMatchesReplayGeometries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.Parallelism = 1
 		workloads.Run(w, ref, budget)
 		want := ref.Curves()
 
@@ -81,7 +80,6 @@ func TestStackSweepMultiGeometryOnePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.Parallelism = 1
 		workloads.Run(w, ref, budget)
 		if got := ss.Curves(g); !reflect.DeepEqual(got, ref.Curves()) {
 			t.Errorf("geometry %d (ways=%d): shared-pass curves diverge from dedicated replay", g, geom.Ways)
@@ -90,31 +88,37 @@ func TestStackSweepMultiGeometryOnePass(t *testing.T) {
 }
 
 // TestStackSweepBlockMatchesSerial pins block delivery (decode + fan
-// out, truncated tails included) to the per-instruction reference, for
-// tiny, prime, and budget-truncated block sizes.
+// out, truncated tails included) to the per-access concrete-cache
+// oracle, one per geometry, for tiny, prime, and budget-truncated
+// block sizes at serial and parallel fan-out.
 func TestStackSweepBlockMatchesSerial(t *testing.T) {
 	const budget = 60_000
-	mk := func() *StackSweep {
-		ss, err := NewStackSweep(0, SweepGeometry{SizesKB: DefaultSweepSizesKB, Ways: 8},
-			SweepGeometry{SizesKB: []int{16, 128}, Ways: 1}) // direct-mapped: distinct set counts stay live
+	geoms := []SweepGeometry{
+		{SizesKB: DefaultSweepSizesKB, Ways: 8},
+		{SizesKB: []int{16, 128}, Ways: 1}, // direct-mapped: distinct set counts stay live
+	}
+	var want []Curves
+	for _, g := range geoms {
+		ref, err := NewSweepSpec(g.SizesKB, g.Ways, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss
+		driveSweep(trace.NewEmitter(ref, budget))
+		want = append(want, ref.Curves())
 	}
-	ref := mk()
-	driveSweep(trace.NewEmitter(trace.Unblocked(ref), budget))
-	want := [2]Curves{ref.Curves(0), ref.Curves(1)}
 	if want[0].Inst[0] == 0 || want[0].Data[0] == 0 {
 		t.Fatal("reference curves empty")
 	}
 	for _, bs := range []int{1, 7, 500, 4096, trace.DefaultBlockSize} {
 		for _, par := range []int{1, 4} {
-			ss := mk()
+			ss, err := NewStackSweep(0, geoms...)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ss.Parallelism = par
 			driveSweep(trace.NewBlockEmitter(ss, budget, bs))
-			if got := [2]Curves{ss.Curves(0), ss.Curves(1)}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("block size %d, parallelism %d: curves differ from serial reference", bs, par)
+			if got := []Curves{ss.Curves(0), ss.Curves(1)}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("block size %d, parallelism %d: curves differ from the oracle", bs, par)
 			}
 		}
 	}

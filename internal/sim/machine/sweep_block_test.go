@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/sim/mem"
@@ -28,55 +26,6 @@ func driveSweep(e *trace.Emitter) {
 		st.Emit(e, r, e.Emitted()%r.Size, 500)
 	}
 	e.Flush()
-}
-
-// TestSweepBlockMatchesSerial is the replay-equivalence core: the
-// block-based sweep (decode + fan-out) must produce bit-identical
-// curves to the retained per-instruction path, for block sizes that
-// are tiny, prime, exactly dividing the stream, and budget-truncated,
-// and for serial and parallel cache fan-out.
-func TestSweepBlockMatchesSerial(t *testing.T) {
-	const budget = 60000
-	ref := NewSweep(DefaultSweepSizesKB)
-	driveSweep(trace.NewEmitter(trace.Unblocked(ref), budget))
-	want := ref.Curves()
-	if want.Inst[0] == 0 || want.Data[0] == 0 {
-		t.Fatal("reference curves empty")
-	}
-	for _, bs := range []int{1, 7, 500, 4096, trace.DefaultBlockSize} {
-		for _, par := range []int{1, 4} {
-			sw := NewSweep(DefaultSweepSizesKB)
-			sw.Parallelism = par
-			driveSweep(trace.NewBlockEmitter(sw, budget, bs))
-			if got := sw.Curves(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("block size %d, parallelism %d: curves differ from serial reference", bs, par)
-			}
-		}
-	}
-}
-
-// TestSweepBlockRaceHammer drives several block sweeps with a wide
-// cache fan-out concurrently; under -race this proves the per-cache
-// parallel replay shares nothing but the read-only streams.
-func TestSweepBlockRaceHammer(t *testing.T) {
-	var wg sync.WaitGroup
-	results := make([]Curves, 6)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sw := NewSweep(DefaultSweepSizesKB)
-			sw.Parallelism = 8
-			driveSweep(trace.NewBlockEmitter(sw, 20000, 512))
-			results[i] = sw.Curves()
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Fatalf("concurrent sweep %d diverged", i)
-		}
-	}
 }
 
 // TestMachineBlockMatchesSerial checks the Machine's block path leaves

@@ -7,30 +7,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestNewSweepSpecDefaultsMatchNewSweep pins that the spec constructor
-// with zero overrides is the classic sweep: same geometry, identical
-// curves for the same trace.
-func TestNewSweepSpecDefaultsMatchNewSweep(t *testing.T) {
-	sizes := []int{16, 64, 256}
-	w := workloads.Representative17()[4] // S-WordCount
-	const budget = 60_000
-
-	ref := NewSweep(sizes)
-	ref.Parallelism = 1
-	workloads.Run(w, ref, budget)
-
-	spec, err := NewSweepSpec(sizes, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Parallelism = 1
-	workloads.Run(w, spec, budget)
-
-	if !reflect.DeepEqual(ref.Curves(), spec.Curves()) {
-		t.Fatal("default NewSweepSpec curves differ from NewSweep")
-	}
-}
-
 // TestNewSweepSpecGeometryChangesCurves runs the same trace against a
 // different associativity and line size and expects different miss
 // behaviour — the overrides must actually reach the caches.
@@ -39,15 +15,16 @@ func TestNewSweepSpecGeometryChangesCurves(t *testing.T) {
 	w := workloads.Representative17()[4]
 	const budget = 60_000
 
-	def := NewSweep(sizes)
-	def.Parallelism = 1
+	def, err := NewSweepSpec(sizes, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	workloads.Run(w, def, budget)
 
 	narrow, err := NewSweepSpec(sizes, 2, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow.Parallelism = 1
 	workloads.Run(w, narrow, budget)
 
 	if reflect.DeepEqual(def.Curves(), narrow.Curves()) {

@@ -84,14 +84,6 @@ func (s *Stack) setOf(line uint64) uint64 {
 	return line % s.sets
 }
 
-// Access records one access to line plus run immediate same-line
-// repeats (the packed merged-run convention: repeats are depth-0 hits
-// by construction, matching cache.AccessBlock's run retirement).
-func (s *Stack) Access(line, run uint64) {
-	s.accesses += run + 1
-	s.access(line)
-}
-
 // access moves line to the top of its set's stack, records its reuse
 // depth, and reports whether it was already on top (a depth-0 hit).
 func (s *Stack) access(line uint64) bool {

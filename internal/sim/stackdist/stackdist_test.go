@@ -3,6 +3,7 @@ package stackdist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sim/cache"
@@ -31,23 +32,92 @@ func synthStream(r *rand.Rand, n, lineSpan int) []cache.Rec {
 }
 
 // AccessBlock replays recs into s alone, one record at a time and
-// unpruned: the reference a Family's Stacks are checked against.
+// unpruned: the reference a Family's Stacks are checked against. A
+// record's merged repeats are depth-0 hits, so they only count.
 func (s *Stack) AccessBlock(recs []cache.Rec) {
 	for _, rec := range recs {
-		s.Access(cache.RecLine(rec), cache.RecRun(rec))
+		s.accesses += cache.RecRun(rec) + 1
+		s.access(cache.RecLine(rec))
 	}
 }
 
 // replayCache counts (accesses, misses) of a concrete ways-associative
-// LRU cache with the given set count over the packed stream.
+// LRU cache with the given set count over the packed stream, one
+// cache.Access per access a record stands for.
 func replayCache(sets, ways int, blocks [][]cache.Rec) (uint64, uint64) {
 	c := cache.New(cache.Config{
 		Name: "ref", Size: sets * ways * 64, Ways: ways, LineSize: 64, Latency: 1,
 	})
 	for _, b := range blocks {
-		c.AccessBlock(b)
+		for _, rec := range b {
+			for range cache.RecRun(rec) + 1 {
+				c.Access(cache.RecLine(rec)<<6, cache.RecWrite(rec))
+			}
+		}
 	}
 	return c.Accesses, c.Misses
+}
+
+// naiveLRU is a ways-associative true-LRU cache written as plainly as
+// possible: one slice per set, most recently used line first. It has
+// no associativity cap.
+type naiveLRU struct {
+	sets             [][]uint64
+	ways             int
+	accesses, misses uint64
+}
+
+// access counts n back-to-back accesses to line; only the first can
+// miss.
+func (c *naiveLRU) access(line, n uint64) {
+	c.accesses += n
+	k := line % uint64(len(c.sets))
+	set := c.sets[k]
+	i := slices.Index(set, line)
+	if i < 0 {
+		c.misses++
+		if len(set) == c.ways {
+			set = set[:len(set)-1]
+		}
+		set = append(set, 0)
+		i = len(set) - 1
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = line
+	c.sets[k] = set
+}
+
+// TestStackMatchesNaiveLRUWide checks associativities past
+// cache.MaxWays, which no concrete cache.Cache holds: a Family over 1,
+// 7 and 64 sets, tracked 32 and 64 deep and fed in 4096-record blocks,
+// must count what a naive LRU counts at every tested ways. The
+// stream's phases have working sets of about 48 lines per set at each
+// set count, so reuse depths between 16 and 64 are common.
+func TestStackMatchesNaiveLRUWide(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var recs []cache.Rec
+	for _, span := range []int{48, 7 * 48, 64 * 48} {
+		recs = append(recs, synthStream(r, 20000, span)...)
+	}
+	for _, depth := range []int{32, 64} {
+		fam := NewFamily(map[int]int{1: depth, 7: depth, 64: depth})
+		for off := 0; off < len(recs); off += 4096 {
+			fam.AccessBlock(recs[off:min(off+4096, len(recs))])
+		}
+		for _, sets := range []int{1, 7, 64} {
+			got := fam.Stack(sets)
+			for _, ways := range []int{1, 16, 17, 24, 32, depth} {
+				ref := &naiveLRU{sets: make([][]uint64, sets), ways: ways}
+				for _, rec := range recs {
+					ref.access(cache.RecLine(rec), cache.RecRun(rec)+1)
+				}
+				if got.Accesses() != ref.accesses || got.Misses(ways) != ref.misses {
+					t.Errorf("depth=%d sets=%d ways=%d: %d misses of %d accesses, naive LRU %d of %d",
+						depth, sets, ways, got.Misses(ways), got.Accesses(), ref.misses, ref.accesses)
+				}
+			}
+		}
+	}
 }
 
 // TestStackMatchesCache is the core differential: for every (sets,
@@ -128,8 +198,8 @@ func TestHistogramShape(t *testing.T) {
 	}
 }
 
-// TestAccessMatchesAccessBlock pins the pruned block path to the
-// serial entry point. A Family over a divisibility chain (48 → 96 →
+// TestAccessMatchesAccessBlock pins the pruned block path to unpruned
+// record-at-a-time replay. A Family over a divisibility chain (48 → 96 →
 // 192 → 576), a set count dividing a member it is not the parent of
 // (32 | 96), one dividing none (7) and mixed depths is fed in blocks of
 // several sizes; every histogram must equal an unpruned Stack's.

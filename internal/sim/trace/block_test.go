@@ -124,22 +124,3 @@ func TestCountProbeBlockPath(t *testing.T) {
 		t.Fatalf("counts differ: serial %+v blocked %+v", serial, blocked)
 	}
 }
-
-// TestMultiProbeBlockFanOut checks MultiProbe hands blocks to members
-// with a block path and instructions to members without one, and that
-// both see the same stream.
-func TestMultiProbeBlockFanOut(t *testing.T) {
-	blocky := &seqProbe{}
-	legacy := &seqProbe{}
-	mp := MultiProbe{blocky, Unblocked(legacy)}
-	emitMixed(NewBlockEmitter(mp, 300, 50), mem.NewLayout())
-	if !reflect.DeepEqual(blocky.insts, legacy.insts) {
-		t.Fatal("fan-out members saw different streams")
-	}
-	if blocky.blocks[0] != 50 {
-		t.Fatalf("block member got %d-instruction delivery", blocky.blocks[0])
-	}
-	if legacy.blocks[0] != 1 {
-		t.Fatal("legacy member was handed a block")
-	}
-}

@@ -41,47 +41,15 @@ type BlockProbe interface {
 // cache-resident on the host.
 const DefaultBlockSize = 4096
 
-// DeliverBlock feeds one block to p, using its bulk path when it has
-// one and falling back to per-instruction delivery otherwise — the
-// adapter that lets block emitters drive legacy probes unchanged.
-func DeliverBlock(p Probe, block []isa.Inst) {
-	if bp, ok := p.(BlockProbe); ok {
-		bp.InstBlock(block)
-		return
-	}
-	for i := range block {
-		p.Inst(&block[i])
-	}
-}
-
 // Unblocked returns a view of p without its block path: an emitter
 // driving the result always delivers per-instruction, even when p
-// implements BlockProbe. It is the retained serial reference the
-// block-replay equivalence tests and benchmarks compare against.
+// implements BlockProbe. It is the per-instruction reference the
+// block-path equivalence tests compare against.
 func Unblocked(p Probe) Probe { return unblocked{p} }
 
 type unblocked struct{ p Probe }
 
 func (u unblocked) Inst(i *isa.Inst) { u.p.Inst(i) }
-
-// MultiProbe fans one instruction stream out to several probes
-// (used by the cache-size sweep experiments).
-type MultiProbe []Probe
-
-// Inst implements Probe.
-func (m MultiProbe) Inst(i *isa.Inst) {
-	for _, p := range m {
-		p.Inst(i)
-	}
-}
-
-// InstBlock implements BlockProbe: each member gets the block through
-// its own bulk path when it has one.
-func (m MultiProbe) InstBlock(block []isa.Inst) {
-	for _, p := range m {
-		DeliverBlock(p, block)
-	}
-}
 
 // CountProbe counts instructions by class; useful in tests.
 type CountProbe struct {

@@ -243,13 +243,3 @@ func TestClusterWalkStaysInRegion(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiProbeFansOut(t *testing.T) {
-	a, b := &CountProbe{}, &CountProbe{}
-	mp := MultiProbe{a, b}
-	inst := isa.Inst{Op: isa.Load}
-	mp.Inst(&inst)
-	if a.Total != 1 || b.Total != 1 {
-		t.Fatal("MultiProbe did not fan out")
-	}
-}

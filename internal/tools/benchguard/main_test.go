@@ -22,7 +22,6 @@ func sweepRun(t *testing.T, suffix string) string {
 		"BenchmarkSweepFiguresSerial":         1300e6,
 		"BenchmarkSweepFiguresBlocked":        290e6,
 		"BenchmarkSweepPassSerial":            94e6,
-		"BenchmarkSweepPassBlocked":           91e6,
 		"BenchmarkSweepStackDist":             76e6,
 		"BenchmarkSweepMultiGeometry/geoms-1": 73e6,
 		"BenchmarkSweepMultiGeometry/geoms-4": 93e6,
@@ -56,7 +55,7 @@ func TestLoadNames(t *testing.T) {
 		sort.Strings(names)
 		want := "BenchmarkSweepFiguresBlocked BenchmarkSweepFiguresSerial " +
 			"BenchmarkSweepMultiGeometry/geoms-1 BenchmarkSweepMultiGeometry/geoms-4 BenchmarkSweepMultiGeometry/geoms-6 " +
-			"BenchmarkSweepPassBlocked BenchmarkSweepPassSerial BenchmarkSweepStackDist"
+			"BenchmarkSweepPassSerial BenchmarkSweepStackDist"
 		if strings.Join(names, " ") != want {
 			t.Errorf("suffix %q: loaded %v", suffix, names)
 		}
