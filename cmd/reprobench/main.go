@@ -2,12 +2,13 @@
 // files and fails on regression — the serving-layer gate next to the
 // microbenchmark baseline (BENCH_baseline.json + benchguard).
 //
-// It loads one goal directory (a machine class plus its cases, see
-// internal/loadgen and bench/goals/README.md), ramps each case's
-// scenario mix over the target replicas via the v1 API, records
-// throughput, p50/p90/p99 latency, fleet-wide compute counters
-// (/v1/stats deltas) and — given -pids — peak RSS, then compares every
-// number against the case's goals and the machine class's limits.
+// It loads one goal directory (a machine class in machine.json plus
+// one cases/*/experiment.json per case, see internal/loadgen and
+// bench/goals/README.md), ramps each case's scenario mix over the
+// target replicas via the v1 API, records throughput, p50/p90/p99
+// latency, fleet-wide compute counters (/v1/stats deltas) and — given
+// -pids — peak RSS, then compares every number against the case's
+// goals and the machine class's limits.
 //
 // Exit status 0 means every goal held; 1 means at least one goal
 // regressed (each violation is printed benchguard-style); 2 means the
@@ -36,12 +37,12 @@ import (
 )
 
 func main() {
-	goals := flag.String("goals", "", "goal directory (machine.yaml + cases/*/experiment.yaml)")
+	goals := flag.String("goals", "", "goal directory (machine.json + cases/*/experiment.json)")
 	targets := flag.String("targets", "", "comma-separated reprod replica base URLs")
 	out := flag.String("out", "", "write the JSON report here (\"\" = stdout only)")
 	pids := flag.String("pids", "", "comma-separated PIDs whose summed RSS is sampled (replicas + artifactd)")
 	salt := flag.String("salt", "", "cold-key salt (\"\" = derived from the clock; fix it to reproduce a run's keys)")
-	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = the suite's machine.yaml request_timeout, or 2m)")
+	timeout := flag.Duration("timeout", 0, "per-request timeout (0 = the suite's machine.json request_timeout, or 2m)")
 	flag.Parse()
 	if *goals == "" || *targets == "" {
 		fmt.Fprintln(os.Stderr, "reprobench: -goals and -targets are required")
@@ -60,7 +61,7 @@ func main() {
 	}
 	if *timeout > 0 {
 		// An explicit flag overrides the suite's request_timeout; left
-		// at 0, the runner reads it from machine.yaml (2m fallback).
+		// at 0, the runner reads it from machine.json (2m fallback).
 		r.Client = &http.Client{Timeout: *timeout}
 	}
 	for _, t := range strings.Split(*targets, ",") {

@@ -109,17 +109,6 @@ func scenarioCatalogue() map[string]workloads.Workload {
 	return idx
 }
 
-// ScenarioWorkloadIDs lists the selectable workload IDs, sorted.
-func ScenarioWorkloadIDs() []string {
-	idx := scenarioCatalogue()
-	ids := make([]string, 0, len(idx))
-	for id := range idx {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // scenarioViews is the canonical view order.
 var scenarioViews = []struct {
 	name string

@@ -66,18 +66,17 @@ func RenderTable1(w io.Writer, rows []Table1Row) {
 // Table2Row is one representative workload's characterization in the
 // style of the paper's Table 2.
 type Table2Row struct {
-	ID            string
-	Category      workloads.Category
-	DataSet       string
-	OutVsIn       workloads.DataRatio
-	InterVsIn     workloads.DataRatio
-	HasInter      bool
-	System        sysmodel.Class
-	CPUUtil       float64
-	IOWait        float64
-	WeightedIO    float64
-	PaperCount    int
-	PaperBehavior string
+	ID         string
+	Category   workloads.Category
+	DataSet    string
+	OutVsIn    workloads.DataRatio
+	InterVsIn  workloads.DataRatio
+	HasInter   bool
+	System     sysmodel.Class
+	CPUUtil    float64
+	IOWait     float64
+	WeightedIO float64
+	PaperCount int
 }
 
 // Table2 reproduces Table 2: the 17 representative workloads with

@@ -61,9 +61,9 @@ func (s Spec) Enabled() bool {
 func (s Spec) String() string {
 	var parts []string
 	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	if s.Seed != 0 {
-		add("seed", strconv.FormatUint(s.Seed, 10))
-	}
+	// Always written: ParseSpec defaults an absent seed to 1, so
+	// dropping seed=0 would not parse back to this spec.
+	add("seed", strconv.FormatUint(s.Seed, 10))
 	if s.ErrProb > 0 {
 		add("err", strconv.FormatFloat(s.ErrProb, 'g', -1, 64))
 	}
@@ -147,7 +147,7 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also rejects NaN, which would silently disable the fault
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil

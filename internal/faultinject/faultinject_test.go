@@ -35,7 +35,8 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("ParseSpec(%q)=%+v, want %+v", tc.raw, got, tc.want)
 		}
 	}
-	bad := []string{"bogus", "err=2", "err=-0.1", "latency=xyz", "up=6s", "frob=1", "seed=abc"}
+	bad := []string{"bogus", "err=2", "err=-0.1", "latency=xyz", "up=6s", "frob=1", "seed=abc",
+		"err=NaN", "truncate=nan", "latency=5ms,latency_p=NaN"}
 	for _, raw := range bad {
 		if _, err := ParseSpec(raw); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", raw)
@@ -47,14 +48,48 @@ func TestSpecEnabledAndString(t *testing.T) {
 	if (Spec{Seed: 9}).Enabled() {
 		t.Fatal("seed-only spec reports enabled")
 	}
-	s := Spec{Seed: 7, ErrProb: 0.3, Down: 4 * time.Second, Up: 6 * time.Second}
-	if !s.Enabled() {
-		t.Fatal("faulty spec reports disabled")
+	for _, s := range []Spec{
+		{Seed: 7, ErrProb: 0.3, Down: 4 * time.Second, Up: 6 * time.Second},
+		{Seed: 0, ErrProb: 0.3},
+	} {
+		if !s.Enabled() {
+			t.Fatalf("faulty spec %+v reports disabled", s)
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil || back != s {
+			t.Fatalf("round trip %q → %+v (%v), want %+v", s.String(), back, err, s)
+		}
 	}
-	back, err := ParseSpec(s.String())
-	if err != nil || back != s {
-		t.Fatalf("round trip %q → %+v (%v), want %+v", s.String(), back, err, s)
-	}
+}
+
+// FuzzParseSpec feeds arbitrary -fault-spec strings to ParseSpec, as
+// reprod and artifactd do: it must never panic, an accepted spec has
+// every probability in [0,1] and no negative duration, and the spec's
+// String form parses back to the same String. The committed seeds
+// include CI's two chaos specs and the inputs that once slipped
+// through (a NaN probability, seed=0).
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		s, err := ParseSpec(raw)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{s.ErrProb, s.LatencyProb, s.TruncProb} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted probability %v", raw, p)
+			}
+		}
+		if s.Latency < 0 || s.Up < 0 || s.Down < 0 {
+			t.Fatalf("ParseSpec(%q) accepted a negative duration: %+v", raw, s)
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) rejects its own String %q: %v", raw, s.String(), err)
+		}
+		if back.String() != s.String() {
+			t.Fatalf("ParseSpec(%q): String %q parses back as %q", raw, s.String(), back.String())
+		}
+	})
 }
 
 func TestDeterministicDraws(t *testing.T) {

@@ -3,16 +3,20 @@
 // latency, fleet-wide compute counters and RSS, and gates the numbers
 // against committed goal files — the serving-layer analogue of
 // BENCH_baseline.json's benchguard gate, modeled on SMP-style machine
-// classes (a machine.yaml of resource limits plus one experiment.yaml
+// classes (a machine.json of resource limits plus one experiment.json
 // per case).
 //
 // A goal directory looks like:
 //
 //	bench/goals/ci-1core/
-//	  machine.yaml                      # machine class + resource limits
+//	  machine.json                      # machine class + resource limits
 //	  cases/
-//	    warm_hit_flood/experiment.yaml  # one load case + its goals
-//	    cold_stampede/experiment.yaml
+//	    warm_hit_flood/experiment.json  # one load case + its goals
+//	    cold_stampede/experiment.json
+//
+// Goal files are JSON decoded strictly: an unknown field, a repeated
+// key or data after the document is an error, because each would
+// otherwise let a typo or a stale line silently change what is gated.
 //
 // Cases come in three mixes:
 //
@@ -30,7 +34,10 @@
 package loadgen
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -140,36 +147,29 @@ type Suite struct {
 	Dir     string
 }
 
-// LoadSuite reads dir (machine.yaml + cases/*/experiment.yaml, cases
+// LoadSuite reads dir (machine.json + cases/*/experiment.json, cases
 // sorted by directory name) and validates every case.
 func LoadSuite(dir string) (*Suite, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, "machine.yaml"))
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
 	s := &Suite{Dir: dir}
-	if err := DecodeYAML(mb, &s.Machine); err != nil {
-		return nil, fmt.Errorf("loadgen: %s/machine.yaml: %w", dir, err)
+	machine := filepath.Join(dir, "machine.json")
+	if err := decodeFile(machine, &s.Machine); err != nil {
+		return nil, err
 	}
 	if s.Machine.Name == "" {
-		return nil, fmt.Errorf("loadgen: %s/machine.yaml names no machine class", dir)
+		return nil, fmt.Errorf("loadgen: %s names no machine class", machine)
 	}
 	if _, err := s.Machine.requestTimeout(); err != nil {
-		return nil, fmt.Errorf("loadgen: %s/machine.yaml: %w", dir, err)
+		return nil, fmt.Errorf("loadgen: %s: %w", machine, err)
 	}
-	caseDirs, err := filepath.Glob(filepath.Join(dir, "cases", "*", "experiment.yaml"))
+	paths, err := filepath.Glob(filepath.Join(dir, "cases", "*", "experiment.json"))
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(caseDirs)
-	for _, path := range caseDirs {
-		cb, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %w", err)
-		}
+	sort.Strings(paths)
+	for _, path := range paths {
 		var c Case
-		if err := DecodeYAML(cb, &c); err != nil {
-			return nil, fmt.Errorf("loadgen: %s: %w", path, err)
+		if err := decodeFile(path, &c); err != nil {
+			return nil, err
 		}
 		if c.Name == "" {
 			c.Name = filepath.Base(filepath.Dir(path))
@@ -180,9 +180,63 @@ func LoadSuite(dir string) (*Suite, error) {
 		s.Cases = append(s.Cases, c)
 	}
 	if len(s.Cases) == 0 {
-		return nil, fmt.Errorf("loadgen: %s has no cases/*/experiment.yaml", dir)
+		return nil, fmt.Errorf("loadgen: %s has no cases/*/experiment.json", dir)
 	}
 	return s, nil
+}
+
+// decodeFile decodes the goal file at path into v. A json.Decoder
+// stops after the first document and keeps the last of two equal keys,
+// which could silently loosen a goal, so one pass over the tokens
+// rejects both before the strict decode.
+func decodeFile(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("loadgen: %w", err)
+	}
+	toks := json.NewDecoder(bytes.NewReader(b))
+	if err := uniqueKeys(toks); err != nil {
+		return fmt.Errorf("loadgen: %s: %w", path, err)
+	}
+	if _, err := toks.Token(); err != io.EOF {
+		return fmt.Errorf("loadgen: %s: data after the document", path)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("loadgen: %s: %w", path, err)
+	}
+	return nil
+}
+
+// uniqueKeys consumes one JSON value from d and fails on any object
+// that repeats a key.
+func uniqueKeys(d *json.Decoder) error {
+	t, err := d.Token()
+	if err != nil {
+		return err
+	}
+	if t != json.Delim('{') && t != json.Delim('[') {
+		return nil
+	}
+	seen := map[json.Token]bool{}
+	for d.More() {
+		if t == json.Delim('{') {
+			key, err := d.Token()
+			if err != nil {
+				return err
+			}
+			if seen[key] {
+				return fmt.Errorf("duplicate key %q", key)
+			}
+			seen[key] = true
+		}
+		if err := uniqueKeys(d); err != nil {
+			return err
+		}
+	}
+	_, err = d.Token() // the closing delimiter
+	return err
 }
 
 func (c *Case) validate() error {

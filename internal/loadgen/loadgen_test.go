@@ -47,47 +47,24 @@ func startTestFleet(t *testing.T) ([]*serve.Server, []string) {
 func TestRunnerEndToEnd(t *testing.T) {
 	servers, urls := startTestFleet(t)
 	dir := writeSuite(t, testMachine, map[string]string{
-		"1_warm_hit_flood": `
-mix: warm_flood
-scenario:
-  workloads: [H-Grep]
-  sizes_kb: [16, 64]
-ramp:
-  start: 2
-  end: 4
-  step: 2
-  requests_per_step: 10
-goals:
-  min_throughput_rps: 1
-  max_error_rate: 0
-  max_computes: 0
-`,
-		"2_cold_stampede": `
-mix: cold_stampede
-scenario:
-  workloads: [H-Grep]
-  sizes_kb: [16]
-ramp:
-  start: 8
-  end: 16
-  step: 8
-goals:
-  max_error_rate: 0
-  max_computes: 2
-`,
-		"3_adhoc_geometries": `
-mix: adhoc_geometries
-scenario:
-  workloads: [S-Sort]
-  sizes_kb: [16, 32]
-ramp:
-  start: 2
-  end: 2
-  step: 1
-  requests_per_step: 4
-goals:
-  max_error_rate: 0
-`,
+		"1_warm_hit_flood": `{
+  "mix": "warm_flood",
+  "scenario": {"workloads": ["H-Grep"], "sizes_kb": [16, 64]},
+  "ramp": {"start": 2, "end": 4, "step": 2, "requests_per_step": 10},
+  "goals": {"min_throughput_rps": 1, "max_error_rate": 0, "max_computes": 0}
+}`,
+		"2_cold_stampede": `{
+  "mix": "cold_stampede",
+  "scenario": {"workloads": ["H-Grep"], "sizes_kb": [16]},
+  "ramp": {"start": 8, "end": 16, "step": 8},
+  "goals": {"max_error_rate": 0, "max_computes": 2}
+}`,
+		"3_adhoc_geometries": `{
+  "mix": "adhoc_geometries",
+  "scenario": {"workloads": ["S-Sort"], "sizes_kb": [16, 32]},
+  "ramp": {"start": 2, "end": 2, "step": 1, "requests_per_step": 4},
+  "goals": {"max_error_rate": 0}
+}`,
 	})
 	suite, err := LoadSuite(dir)
 	if err != nil {

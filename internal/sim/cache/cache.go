@@ -442,15 +442,6 @@ func (h *Hierarchy) Latency(level int) int {
 	}
 }
 
-// FillLatency returns the extra cycles an instruction fetch stalls when
-// its line comes from the given level (0 for an L1 hit).
-func (h *Hierarchy) FillLatency(level int) int {
-	if level <= LvlL1 {
-		return 0
-	}
-	return h.Latency(level)
-}
-
 // FinishWritebacks accounts final memory write traffic (last-level
 // writebacks) into MemWrites. Call once at end of run.
 func (h *Hierarchy) FinishWritebacks() {

@@ -181,10 +181,6 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 	return s, nil
 }
 
-// Geometries returns the requested geometries in construction order
-// (Ways resolved to the default where 0 was passed).
-func (s *StackSweep) Geometries() []SweepGeometry { return s.geoms }
-
 // Inst implements trace.Probe: InstBlock over a block of one.
 func (s *StackSweep) Inst(i *isa.Inst) { s.InstBlock([]isa.Inst{*i}) }
 
