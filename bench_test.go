@@ -247,12 +247,14 @@ func BenchmarkAblationLoopPredictor(b *testing.B) {
 	b.ReportMetric(without*100, "mispredict%-without-loop")
 }
 
-// BenchmarkEngineSerial regenerates the full paper batch one
-// experiment at a time in dependency order — the reference the
+// BenchmarkEngineSerial regenerates the full paper batch on one
+// worker, primers then units in definition order — the reference the
 // concurrent engine is compared against.
 func BenchmarkEngineSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := &experiments.Engine{Session: experiments.NewSession(experiments.Quick()), Parallelism: 1}
+		s := experiments.NewSession(experiments.Quick())
+		s.Parallelism = 1
+		e := &experiments.Engine{Session: s}
 		res, err := e.Run()
 		if err != nil {
 			b.Fatal(err)
@@ -263,8 +265,8 @@ func BenchmarkEngineSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallel regenerates the full paper batch as the
-// dependency-aware concurrent schedule over a bounded worker pool.
+// BenchmarkEngineParallel regenerates the full paper batch in the
+// engine's two phases on GOMAXPROCS workers.
 func BenchmarkEngineParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := &experiments.Engine{Session: experiments.NewSession(experiments.Quick())}

@@ -1,12 +1,13 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation and writes ASCII renderings (and CSV curves for the
-// figure sweeps) to stdout or an output directory.
+// evaluation and writes their ASCII renderings to stdout and, with
+// -out, to one NAME.txt file per item.
 //
-// The experiments run through the concurrent engine: every workload is
-// profiled and swept exactly once, shared across all dependent tables
-// and figures, with independent experiments scheduled in parallel.
-// -parallel 1 runs them one at a time in dependency order; the output
-// is byte-identical either way.
+// The experiments run through the engine in two phases: hidden primers
+// profile and sweep every workload exactly once, then the tables and
+// figures read the shared results. -parallel bounds both the units
+// running at once in each phase and the workers inside each unit;
+// -parallel 1 runs everything one at a time in definition order, and
+// the output is byte-identical either way.
 //
 // With -cache-dir every expensive artefact — dataset content,
 // 45-metric profiles, Fig. 6-9 sweep curves, and the rendered output
@@ -53,7 +54,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "use reduced instruction budgets")
 	outDir := flag.String("out", "", "also write per-item files to this directory")
-	parallel := flag.Int("parallel", 0, "bound concurrency: experiments at once and workers within each (0 = GOMAXPROCS, 1 = one at a time in dependency order)")
+	parallel := flag.Int("parallel", 0, "bound concurrency: units at once in each engine phase and workers within each unit (0 = GOMAXPROCS, 1 = one at a time in definition order)")
 	timing := flag.Bool("timing", false, "print the per-experiment timing table to stderr")
 	shardSpec := flag.String("shard", "", "run only shard i of n visible items, as i/n (0-based); cooperating shards share a store and merge byte-identically")
 	stats := flag.Bool("stats", false, "print artifact-store and recomputation probes to stderr")
@@ -103,11 +104,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		e := &experiments.Engine{
-			Session:     sess,
-			Parallelism: *parallel,
-			Select:      sel,
-		}
+		e := &experiments.Engine{Session: sess, Select: sel}
 		if *shardSpec != "" {
 			i, n, err := experiments.ParseShard(*shardSpec)
 			if err != nil {

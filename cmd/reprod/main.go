@@ -45,7 +45,7 @@
 //	       [-self URL] [-peers URL,URL,...]
 //	       [-peer-fail-limit N] [-peer-cooldown D] [-fault-spec SPEC]
 //	       [-gc SPEC] [-gc-interval D] [-mem-quota SPEC] [-drain-timeout D]
-//	       [-event-buffer N] [-log-level debug|info|warn|error]
+//	       [-log-level debug|info|warn|error]
 package main
 
 import (
@@ -77,7 +77,6 @@ func main() {
 	peerCooldown := flag.Duration("peer-cooldown", 0, "how long a sidelined peer's breaker stays open before a half-open probe (0 = default 5s)")
 	faultSpec := flag.String("fault-spec", "", `TESTING ONLY: inject faults into served requests, e.g. "seed=3,up=6s,down=4s" (see internal/faultinject; probe and stats endpoints stay clean)`)
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight work")
-	eventBuffer := flag.Int("event-buffer", 0, "per-SSE-subscriber event ring size (0 = default 256); a subscriber that falls further behind sheds its oldest events")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	storeFlags := cli.RegisterStore(flag.CommandLine)
 	flag.Parse()
@@ -99,7 +98,6 @@ func main() {
 	cfg := serve.Config{
 		Opt: opt, Store: st, MemQuota: quota, Parallelism: *parallel, Workers: *workers,
 		Self: *self, PeerFailLimit: *peerFailLimit, PeerCooldown: *peerCooldown,
-		EventBuffer: *eventBuffer,
 	}
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {

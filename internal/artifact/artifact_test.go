@@ -144,34 +144,51 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskCorruptEntryFallsBack damages a persisted entry — garbage
+// bytes, or the entry cut to half its bytes — and checks each is
+// discarded and recomputed, never trusted.
 func TestDiskCorruptEntryFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	a, _ := NewDisk(dir)
-	key := KeyOf("corrupt", cfg{N: 5})
-	if _, err := Get(a, key, func() (int, error) { return 5, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(diskPath(a, key), []byte("not gob at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(entry []byte) []byte
+	}{
+		{"garbage", func([]byte) []byte { return []byte("not gob at all") }},
+		{"half", func(entry []byte) []byte { return entry[:len(entry)/2] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, _ := NewDisk(dir)
+			key := KeyOf("corrupt", cfg{N: 5})
+			if _, err := Get(a, key, func() (int, error) { return 5, nil }); err != nil {
+				t.Fatal(err)
+			}
+			entry, err := os.ReadFile(diskPath(a, key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(diskPath(a, key), tc.corrupt(entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	b, _ := NewDisk(dir)
-	v, err := Get(b, key, func() (int, error) { return 5, nil })
-	if err != nil || v != 5 {
-		t.Fatalf("corrupted entry not recomputed: %d, %v", v, err)
-	}
-	st := b.Stats()
-	if st.BackendDiscards != 1 || st.Fills != 1 {
-		t.Fatalf("stats %+v, want 1 discard / 1 fill", st)
-	}
+			b, _ := NewDisk(dir)
+			v, err := Get(b, key, func() (int, error) { return 5, nil })
+			if err != nil || v != 5 {
+				t.Fatalf("corrupted entry not recomputed: %d, %v", v, err)
+			}
+			st := b.Stats()
+			if st.BackendDiscards != 1 || st.Fills != 1 {
+				t.Fatalf("stats %+v, want 1 discard / 1 fill", st)
+			}
 
-	// The recompute rewrote a valid entry: a third store reads it.
-	c, _ := NewDisk(dir)
-	if _, err := Get(c, key, func() (int, error) {
-		t.Error("rewritten entry not loaded")
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
+			// The recompute rewrote a valid entry: a third store reads it.
+			c, _ := NewDisk(dir)
+			if _, err := Get(c, key, func() (int, error) {
+				t.Error("rewritten entry not loaded")
+				return 0, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

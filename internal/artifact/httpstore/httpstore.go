@@ -7,9 +7,16 @@
 //
 //	GET  {base}/artifact/{id}  -> 200 + encoded entry | 404 miss
 //	HEAD {base}/artifact/{id}  -> 200 | 404
-//	PUT  {base}/artifact/{id}  <- encoded entry; 204, or 400 if the
-//	                              entry's recorded identity does not
-//	                              hash to {id}
+//	PUT  {base}/artifact/{id}  <- gzip-compressed encoded entry; 204,
+//	                              or 400 if the entry's recorded
+//	                              identity does not hash to {id}
+//	POST {base}/closure        <- {"ids": [...]}; 200 + every entry
+//	                              the server has
+//
+// Client and server are built from one source tree. An older server
+// without gzip uploads rejects every PUT, and one without the closure
+// endpoint answers it with an error, after which the store reads per
+// key: mixed versions share less, but never yield a wrong byte.
 //
 // Entries stay in the store's self-describing envelope
 // (artifact.Entry), so identity is verified on both ends: the server
@@ -151,10 +158,7 @@ func (c *Client) URL(id string) string { return c.base + "/artifact/" + id }
 // mangled bodies may heal (retry), 5xx answers are the server's own
 // transient failures (retry), everything the server said on purpose —
 // 404 miss, 401/403 auth, 400 validation — is permanent.
-var (
-	errNotFound = errors.New("httpstore: not found")
-	errNoBulk   = errors.New("httpstore: server has no closure endpoint")
-)
+var errNotFound = errors.New("httpstore: not found")
 
 // transportError marks failures where no HTTP response arrived at
 // all — the only kind that feeds the circuit breaker.
@@ -169,21 +173,12 @@ type statusError struct{ code int }
 
 func (e statusError) Error() string { return fmt.Sprintf("httpstore: server answered %d", e.code) }
 
-// errVersionSkew marks a 400 on a gzip PUT: a server predating gzip
-// transport gob-decodes the compressed body, fails, and rejects — the
-// retried attempt re-publishes raw, keeping mixed-version deployments
-// working (against a current server a valid entry never 400s).
-var errVersionSkew = errors.New("httpstore: gzip rejected, retrying raw")
-
 func retryableErr(err error) bool {
 	var s statusError
 	if errors.As(err, &s) {
 		return s.code/100 == 5 || s.code == http.StatusTooManyRequests
 	}
-	if errors.Is(err, errNotFound) || errors.Is(err, errNoBulk) {
-		return false
-	}
-	return true
+	return !errors.Is(err, errNotFound)
 }
 
 // policy returns the effective retry policy with the classifier
@@ -309,25 +304,20 @@ func (c *Client) getOnce(id string) ([]byte, error) {
 }
 
 // Put publishes id's encoded entry gzip-compressed, best-effort, with
-// transient failures retried. The historical version-skew raw retry
-// is folded into the policy: a 400 on the gzip attempt switches the
-// next attempt to a raw body (see errVersionSkew).
+// transient failures retried. A rejection (400: the entry's identity
+// does not hash to id) is final.
 func (c *Client) Put(id string, data []byte) {
 	if !c.allow() {
 		return
 	}
-	body, encoding := artifact.GzipBytes(data), "gzip"
+	body := artifact.GzipBytes(data)
 	err := c.do(func() error {
-		status, err := c.put(id, body, encoding)
+		status, err := c.put(id, body)
 		if err != nil {
 			return transportError{err}
 		}
 		if status/100 == 2 {
 			return nil
-		}
-		if status == http.StatusBadRequest && encoding == "gzip" {
-			body, encoding = data, ""
-			return errVersionSkew
 		}
 		return statusError{code: status}
 	})
@@ -339,15 +329,13 @@ func (c *Client) Put(id string, data []byte) {
 }
 
 // put performs one PUT attempt and returns the HTTP status.
-func (c *Client) put(id string, body []byte, encoding string) (int, error) {
+func (c *Client) put(id string, body []byte) (int, error) {
 	req, err := http.NewRequest(http.MethodPut, c.URL(id), bytes.NewReader(body))
 	if err != nil {
 		return 0, retry.Permanent(err)
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
+	req.Header.Set("Content-Encoding", "gzip")
 	c.auth(req)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -360,11 +348,10 @@ func (c *Client) put(id string, body []byte, encoding string) (int, error) {
 
 // FetchAll implements artifact.BulkFetcher: one POST /closure round
 // trip downloads every named entry the server has, instead of a GET
-// per id. Like every other operation it is best-effort — a server
-// without the endpoint (404/405 from older artifactd versions), a
-// network failure or a corrupt body all degrade to an empty result and
-// the store falls back to per-key reads. Each returned entry is still
-// verified by the store before use.
+// per id. Like every other operation it is best-effort — a rejection,
+// a network failure or a corrupt body all degrade to an empty result
+// and the store falls back to per-key reads. Each returned entry is
+// still verified by the store before use.
 func (c *Client) FetchAll(ids []string) map[string][]byte {
 	if len(ids) == 0 || len(ids) > artifact.MaxClosureIDs {
 		return nil
@@ -383,9 +370,7 @@ func (c *Client) FetchAll(ids []string) map[string][]byte {
 		return nil
 	})
 	if err != nil {
-		if !errors.Is(err, errNoBulk) {
-			c.errs.Add(1)
-		}
+		c.errs.Add(1)
 		return nil
 	}
 	c.bulkEntries.Add(int64(len(out)))
@@ -414,11 +399,6 @@ func (c *Client) fetchAllOnce(ids []string) (map[string][]byte, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, maxEntryBytes))
-		// Older artifactd versions have no closure endpoint; the store
-		// falls back to per-key reads.
-		if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-			return nil, errNoBulk
-		}
 		return nil, statusError{resp.StatusCode}
 	}
 	b, err := io.ReadAll(io.LimitReader(resp.Body, artifact.MaxWireClosureBytes+1))

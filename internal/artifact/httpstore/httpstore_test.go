@@ -1,7 +1,6 @@
 package httpstore
 
 import (
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -155,10 +154,9 @@ func TestHTTPRejectsMislabelledUpload(t *testing.T) {
 	if st := c.Stats(); st.Puts != 0 || st.Errors != 1 {
 		t.Fatalf("client stats %+v, want the put counted as an error", st)
 	}
-	// Two rejects: the gzip attempt plus the client's raw retry (a
-	// 400 is indistinguishable from a pre-gzip server's rejection).
-	if st := srv.Metrics(); st.Int("rejects") != 2 || st.Int("puts") != 0 {
-		t.Fatalf("server stats %+v, want 2 rejects / 0 puts", st)
+	// One reject: a 400 is final, never retried.
+	if st := srv.Metrics(); st.Int("rejects") != 1 || st.Int("puts") != 0 {
+		t.Fatalf("server stats %+v, want 1 reject / 0 puts", st)
 	}
 	if _, err := os.Stat(filepath.Join(srv.Dir(), victim.ID()+".gob")); !os.IsNotExist(err) {
 		t.Fatal("rejected upload reached the entry directory")
@@ -390,43 +388,6 @@ func TestOpenStoreToken(t *testing.T) {
 	}
 }
 
-// TestPutRawRetryAgainstPreGzipServer pins the mixed-version path: a
-// server that cannot decode gzip bodies (as pre-gzip artifactd
-// versions gob-decode the compressed bytes and reject 400) still
-// receives the entry via the client's one raw retry.
-func TestPutRawRetryAgainstPreGzipServer(t *testing.T) {
-	srv, err := artifactd.New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPut && r.Header.Get("Content-Encoding") == "gzip" {
-			http.Error(w, "body is not an encoded artifact entry", http.StatusBadRequest)
-			return
-		}
-		r.Header.Del("Content-Encoding")
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	key := artifact.KeyOf("compat", cfg{N: 9})
-	entry, err := artifact.EncodeEntry(artifact.Entry{
-		Version: artifact.Version, Kind: key.Kind, Label: key.Label, Payload: []byte{4, 5, 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := client(t, ts.URL)
-	c.Put(key.ID(), entry)
-	if st := c.Stats(); st.Puts != 1 || st.Errors != 0 {
-		t.Fatalf("client stats %+v, want the raw retry to succeed", st)
-	}
-	if st := srv.Metrics(); st.Int("puts") != 1 {
-		t.Fatalf("server stats %+v, want the entry stored", st)
-	}
-}
-
 // TestFetchAllBulkClosure pins the prefetch wire path end to end: a
 // producer publishes a closure of entries, a cold consumer stages them
 // with one POST /closure and then fills every key without a single
@@ -491,19 +452,5 @@ func TestFetchAllMissesAreAbsent(t *testing.T) {
 	v, err := artifact.Get(st, key, func() (int, error) { return 5, nil })
 	if err != nil || v != 5 {
 		t.Fatalf("fallback compute: v=%d err=%v", v, err)
-	}
-}
-
-// TestFetchAllAgainstServerWithoutEndpoint pins mixed-version
-// deployments: a 404 degrades to an empty result, no error surfaced.
-func TestFetchAllAgainstServerWithoutEndpoint(t *testing.T) {
-	ts := httptest.NewServer(http.NotFoundHandler())
-	defer ts.Close()
-	c := client(t, ts.URL)
-	if got := c.FetchAll([]string{"x-0000000000000000"}); got != nil {
-		t.Fatalf("got %v from a server without /closure", got)
-	}
-	if st := c.Stats(); st.Errors != 0 {
-		t.Fatalf("404 closure counted as error: %+v", st)
 	}
 }

@@ -15,9 +15,10 @@ import (
 // before the run starts executes nothing and returns ctx.Err().
 func TestRunContextPreCancelled(t *testing.T) {
 	s := NewSession(tinyOptions())
+	s.Parallelism = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := &Engine{Session: s, Parallelism: 2}
+	e := &Engine{Session: s}
 	results, err := e.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext err = %v, want context.Canceled", err)
@@ -45,7 +46,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	s.Parallelism = 2
 
 	ctx, cancel := context.WithCancel(context.Background())
-	e := &Engine{Session: s, Parallelism: 2, Select: []string{"fig6"}}
+	e := &Engine{Session: s, Select: []string{"fig6"}}
 
 	done := make(chan error, 1)
 	go func() {
@@ -130,7 +131,7 @@ func TestRunContextNoGoroutineLeak(t *testing.T) {
 		s := NewSession(tinyOptions())
 		s.Parallelism = 2
 		ctx, cancel := context.WithCancel(context.Background())
-		e := &Engine{Session: s, Parallelism: 2, Select: []string{"fig6"}}
+		e := &Engine{Session: s, Select: []string{"fig6"}}
 		go func() {
 			time.Sleep(time.Duration(i) * 2 * time.Millisecond)
 			cancel()

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/artifact"
@@ -26,17 +27,20 @@ type RenderFunc func(io.Writer)
 // Render implements Artifact.
 func (f RenderFunc) Render(w io.Writer) { f(w) }
 
-// Unit is one schedulable experiment: a paper table/figure, or a
-// hidden cache-primer that warms a Session cache so the visible units
+// Unit is one experiment: a paper table/figure, or a hidden
+// cache-primer that warms a Session cache so the visible units
 // depending on it never contend for the same profiling pass.
 type Unit struct {
 	Name string
-	// Deps name units that must complete before this one starts.
+	// Deps name the primers a visible unit reads; primers have none.
 	Deps []string
 	// Hidden marks cache primers: they produce no artifact and
 	// cmd/repro does not list them as selectable items.
 	Hidden bool
 	Run    func(*Session) (Artifact, error)
+	// keys lists the persisted store keys a primer fills at the given
+	// options, derived from the same declaration as its Run.
+	keys func(Options) []artifact.Key
 }
 
 // UnitResult is one executed unit with its wall time.
@@ -58,32 +62,30 @@ type EventSink interface {
 	Event(typ string, data map[string]any)
 }
 
-// Engine runs every table and figure of the paper as a
-// dependency-aware concurrent batch over one shared Session. Units
-// whose dependencies are satisfied execute in parallel on a bounded
-// worker pool; the hidden primer units fan the heavyweight profiling
-// and sweep passes out first so no two visible units repeat work.
+// Engine runs every table and figure of the paper over one shared
+// Session in two fixed phases: first the hidden primers the selected
+// units depend on, which fan the heavyweight profiling and sweep
+// passes out so no two visible units repeat work, then the selected
+// visible units, which read the primed caches. Each phase runs on at
+// most Session.Parallelism workers (0 = GOMAXPROCS) that take units in
+// definition order, so a one-worker run is deterministic.
 type Engine struct {
 	Session *Session
-	// Parallelism bounds concurrent units (0 = GOMAXPROCS).
-	Parallelism int
-	// Units overrides the experiment set (nil = Units()).
-	Units []Unit
 	// Select restricts the run to these visible unit names (nil = all);
-	// dependencies are pulled in transitively.
+	// the primers they depend on run too.
 	Select []string
 	// Events, when non-nil and active, receives unit lifecycle events:
-	// unit_scheduled (once per selected unit, in definition order, when
+	// unit_scheduled (once per planned unit, in definition order, when
 	// the run is planned), unit_start, and unit_finish (with wall-time
 	// ms, status ok/primer/error, and source provenance — computed,
-	// warm, primer, or custom). Publishing never blocks the run.
+	// warm or primer). Publishing never blocks the run.
 	Events EventSink
 	// Shard/ShardCount split the selected visible units round-robin
 	// (by definition order) across ShardCount cooperating engine runs;
-	// shard Shard executes only its assigned units plus their
-	// transitive primers. ShardCount <= 1 disables sharding. Shards
-	// sharing a disk-backed session store compute each underlying
-	// artefact once between them and merge to byte-identical output.
+	// shard Shard executes only its assigned units plus their primers.
+	// ShardCount <= 1 disables sharding. Shards sharing a disk-backed
+	// session store compute each underlying artefact once between them
+	// and merge to byte-identical output.
 	Shard, ShardCount int
 }
 
@@ -120,8 +122,8 @@ func ParseShard(spec string) (shard, count int, err error) {
 	return shard, count, nil
 }
 
-// Run executes the selected units concurrently and returns results in
-// unit-definition order.
+// Run executes the planned units and returns results in
+// unit-definition order, primers included.
 func (e *Engine) Run() ([]UnitResult, error) {
 	return e.RunContext(context.Background())
 }
@@ -139,249 +141,145 @@ func (e *Engine) Run() ([]UnitResult, error) {
 // therefore not share one Session concurrently (the serving daemon
 // builds a session per request).
 func (e *Engine) RunContext(ctx context.Context) ([]UnitResult, error) {
-	par := e.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	return e.run(ctx, par)
-}
-
-func (e *Engine) units() []Unit {
-	if e.Units != nil {
-		return e.Units
-	}
-	return Units()
-}
-
-// schedule is the validated execution graph over a unit set: which
-// indices run, each one's in-degree, and its dependents.
-type schedule struct {
-	selected   map[int]bool
-	indeg      map[int]int
-	dependents map[int][]int
-}
-
-// plan validates the unit graph and builds the schedule: selection
-// plus transitive dependencies, with the subgraph confirmed acyclic
-// via Kahn's algorithm.
-func (e *Engine) plan(units []Unit) (*schedule, error) {
-	byName := make(map[string]int, len(units))
-	for i, u := range units {
-		if _, dup := byName[u.Name]; dup {
-			return nil, fmt.Errorf("experiments: duplicate unit %q", u.Name)
-		}
-		byName[u.Name] = i
-	}
-	for _, u := range units {
-		for _, d := range u.Deps {
-			if _, ok := byName[d]; !ok {
-				return nil, fmt.Errorf("experiments: unit %q depends on unknown unit %q", u.Name, d)
-			}
-		}
-	}
-	sc := &schedule{
-		selected:   make(map[int]bool, len(units)),
-		indeg:      map[int]int{},
-		dependents: map[int][]int{},
-	}
-	// addTo pulls a unit and its transitive dependencies into a set.
-	var addTo func(sel map[int]bool, i int)
-	addTo = func(sel map[int]bool, i int) {
-		if sel[i] {
-			return
-		}
-		sel[i] = true
-		for _, d := range units[i].Deps {
-			addTo(sel, byName[d])
-		}
-	}
-	if e.Select == nil {
-		for i := range units {
-			sc.selected[i] = true
-		}
-	} else {
-		for _, name := range e.Select {
-			i, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("experiments: unknown unit %q", name)
-			}
-			addTo(sc.selected, i)
-		}
-	}
-	if e.ShardCount > 1 || e.Shard != 0 {
-		if e.ShardCount < 2 || e.Shard < 0 || e.Shard >= e.ShardCount {
-			return nil, fmt.Errorf("experiments: invalid shard %d/%d", e.Shard, e.ShardCount)
-		}
-		// Assign the selected visible units round-robin in definition
-		// order (deterministic, so cooperating shards partition the
-		// visible set exactly), then rebuild the primer closure for
-		// this shard's share.
-		mine := make(map[int]bool, len(sc.selected))
-		vi := 0
-		for i := range units {
-			if sc.selected[i] && !units[i].Hidden {
-				if vi%e.ShardCount == e.Shard {
-					addTo(mine, i)
-				}
-				vi++
-			}
-		}
-		sc.selected = mine
-	}
-	// Build edges in unit-definition order so dependent dispatch (and
-	// therefore a one-worker run's visit order) is deterministic.
-	for i := range units {
-		if !sc.selected[i] {
-			continue
-		}
-		for _, d := range units[i].Deps {
-			di := byName[d]
-			if sc.selected[di] {
-				sc.indeg[i]++
-				sc.dependents[di] = append(sc.dependents[di], i)
-			}
-		}
-	}
-	// Cycle check over a copy of the in-degrees.
-	indeg := make(map[int]int, len(sc.indeg))
-	for i, d := range sc.indeg {
-		indeg[i] = d
-	}
-	queue := make([]int, 0, len(sc.selected))
-	for i := range units {
-		if sc.selected[i] && indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, j := range sc.dependents[i] {
-			if indeg[j]--; indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if seen != len(sc.selected) {
-		return nil, fmt.Errorf("experiments: dependency cycle among units")
-	}
-	return sc, nil
-}
-
-func (e *Engine) run(ctx context.Context, par int) ([]UnitResult, error) {
-	units := e.units()
-	sc, err := e.plan(units)
+	units := Units()
+	run, err := e.plan(units)
 	if err != nil {
 		return nil, err
 	}
 	// Install the context as the session's for the duration, so unit
 	// bodies (which only see the Session) observe cancellation.
-	if e.Session != nil && e.Session.Ctx == nil && ctx != context.Background() {
+	if e.Session.Ctx == nil && ctx != context.Background() {
 		e.Session.Ctx = ctx
 		defer func() { e.Session.Ctx = nil }()
 	}
-	e.prefetch(units, sc)
-	selected, indeg, dependents := sc.selected, sc.indeg, sc.dependents
-
+	e.prefetch(units, run)
 	if e.eventsActive() {
-		for i := range units {
-			if selected[i] {
-				e.Events.Event("unit_scheduled", map[string]any{
-					"unit": units[i].Name, "primer": units[i].Hidden,
-				})
+		for i, u := range units {
+			if run[i] {
+				e.Events.Event("unit_scheduled", map[string]any{"unit": u.Name, "primer": u.Hidden})
 			}
 		}
 	}
 
-	n := len(selected)
-	ready := make(chan int, n)
-	completions := make(chan int, n)
-	// Seed the ready queue in definition order so a one-worker run
-	// visits units deterministically.
-	for i := range units {
-		if selected[i] && indeg[i] == 0 {
-			ready <- i
-		}
+	par := e.Session.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-
 	res := make([]UnitResult, len(units))
-	for w := 0; w < par; w++ {
-		go func() {
-			for i := range ready {
-				if e.eventsActive() {
-					e.Events.Event("unit_start", map[string]any{"unit": units[i].Name})
-				}
-				start := time.Now()
-				art, src, err := e.runUnit(ctx, units[i])
-				elapsed := time.Since(start)
-				res[i] = UnitResult{Unit: units[i], Artifact: art, Err: err, Elapsed: elapsed}
-				if e.eventsActive() {
-					status := "ok"
-					if err != nil {
-						status = "error"
-					} else if units[i].Hidden {
-						status = "primer"
-					}
-					data := map[string]any{
-						"unit": units[i].Name, "ms": float64(elapsed.Microseconds()) / 1000,
-						"status": status, "source": src,
-					}
-					if err != nil {
-						data["error"] = err.Error()
-					}
-					e.Events.Event("unit_finish", data)
-				}
-				completions <- i
-			}
-		}()
-	}
-	for done := 0; done < n; done++ {
-		i := <-completions
-		for _, d := range dependents[i] {
-			if indeg[d]--; indeg[d] == 0 {
-				ready <- d
+	for _, primers := range []bool{true, false} {
+		// Queue the phase's units in definition order; par workers
+		// drain the queue, so one worker visits them in that order.
+		next := make(chan int, len(units))
+		for i, u := range units {
+			if run[i] && u.Hidden == primers {
+				next <- i
 			}
 		}
+		close(next)
+		var wg sync.WaitGroup
+		for w := 0; w < par; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					res[i] = e.runOne(ctx, units[i])
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	close(ready)
 
-	out := make([]UnitResult, 0, n)
+	out := make([]UnitResult, 0, len(units))
 	for i := range units {
-		if selected[i] {
+		if run[i] {
 			out = append(out, res[i])
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return out, err
+	return out, ctx.Err()
+}
+
+// plan marks the units a run executes: the selected visible units
+// (every one when Select is nil), this shard's round-robin share of
+// them in definition order, and the primers they depend on.
+func (e *Engine) plan(units []Unit) ([]bool, error) {
+	index := make(map[string]int, len(units))
+	for i, u := range units {
+		index[u.Name] = i
 	}
-	return out, nil
+	selected := make([]bool, len(units))
+	for _, name := range e.Select {
+		i, ok := index[name]
+		if !ok || units[i].Hidden {
+			return nil, fmt.Errorf("experiments: unknown unit %q", name)
+		}
+		selected[i] = true
+	}
+	if (e.ShardCount > 1 || e.Shard != 0) && (e.ShardCount < 2 || e.Shard < 0 || e.Shard >= e.ShardCount) {
+		return nil, fmt.Errorf("experiments: invalid shard %d/%d", e.Shard, e.ShardCount)
+	}
+	run := make([]bool, len(units))
+	vi := 0
+	for i, u := range units {
+		if u.Hidden || (e.Select != nil && !selected[i]) {
+			continue
+		}
+		if vi%max(e.ShardCount, 1) == e.Shard {
+			run[i] = true
+			for _, d := range u.Deps {
+				run[index[d]] = true
+			}
+		}
+		vi++
+	}
+	return run, nil
+}
+
+// runOne executes one unit, timing it and publishing its start and
+// finish events.
+func (e *Engine) runOne(ctx context.Context, u Unit) UnitResult {
+	if e.eventsActive() {
+		e.Events.Event("unit_start", map[string]any{"unit": u.Name})
+	}
+	start := time.Now()
+	art, src, err := e.runUnit(ctx, u)
+	elapsed := time.Since(start)
+	if e.eventsActive() {
+		status := "ok"
+		if err != nil {
+			status = "error"
+		} else if u.Hidden {
+			status = "primer"
+		}
+		data := map[string]any{
+			"unit": u.Name, "ms": float64(elapsed.Microseconds()) / 1000,
+			"status": status, "source": src,
+		}
+		if err != nil {
+			data["error"] = err.Error()
+		}
+		e.Events.Event("unit_finish", data)
+	}
+	return UnitResult{Unit: u, Artifact: art, Err: err, Elapsed: elapsed}
 }
 
 // prefetch stages every persisted artefact the planned run can reuse —
-// the primer closures (profile records, sweep curves) plus the
-// selected units' rendered bytes — in one bulk backend download, so a
-// cold engine against a remote store issues one POST /closure instead
-// of a GET per key. Free when the store has no bulk-capable tier;
-// custom unit sets have no computable keys and skip the render tier.
-func (e *Engine) prefetch(units []Unit, sc *schedule) {
+// the primers' fills (profile records, sweep curves) plus the planned
+// units' rendered bytes — in one bulk backend download, so a cold
+// engine against a remote store issues one POST /closure instead of a
+// GET per key. Free when the store has no bulk-capable tier.
+func (e *Engine) prefetch(units []Unit, run []bool) {
 	s := e.Session
-	if s == nil {
-		return
-	}
 	st := s.ArtifactStore()
 	if !st.BulkCapable() {
 		return
 	}
 	var keys []artifact.Key
 	for i, u := range units {
-		if !sc.selected[i] {
-			continue
-		}
-		if u.Hidden {
-			keys = append(keys, s.primerKeys(u.Name)...)
-		} else if e.Units == nil {
+		switch {
+		case !run[i]:
+		case u.Hidden:
+			keys = append(keys, u.keys(s.Opt)...)
+		default:
 			keys = append(keys, UnitRenderKey(s.Opt, u.Name))
 		}
 	}
@@ -414,17 +312,15 @@ func (e *Engine) eventsActive() bool {
 	return e.Events != nil && e.Events.Active()
 }
 
-// runUnit executes one unit. Visible units of the default experiment
-// set are render-memoized: the unit's rendered bytes are themselves a
-// store artefact, so a warm-started run (same options, persisted
-// store) skips not just the simulation behind a table or figure but
-// the table walk and formatting too — it only copies bytes. Custom
-// unit sets (e.Units != nil) run unmemoized: their names don't
-// identify content the way the fixed paper set's do.
+// runUnit executes one unit. Visible units are render-memoized: the
+// unit's rendered bytes are themselves a store artefact, so a
+// warm-started run (same options, persisted store) skips not just the
+// simulation behind a table or figure but the table walk and
+// formatting too — it only copies bytes.
 //
 // src is the unit's render provenance for the event stream: "primer"
-// (hidden warm-up), "custom" (unmemoized custom set), "computed" (the
-// render pass ran here) or "warm" (bytes served from the store).
+// (hidden warm-up), "computed" (the render pass ran here) or "warm"
+// (bytes served from the store).
 //
 // Cancellation surfaces here: a unit whose context is already done is
 // skipped outright, and a session-cancellation unwind out of a running
@@ -435,13 +331,9 @@ func (e *Engine) runUnit(ctx context.Context, u Unit) (art Artifact, src string,
 	}
 	defer RecoverCanceled(&err)
 	s := e.Session
-	if u.Hidden || e.Units != nil {
-		src = "custom"
-		if u.Hidden {
-			src = "primer"
-		}
+	if u.Hidden {
 		art, err = u.Run(s)
-		return art, src, err
+		return art, "primer", err
 	}
 	key := UnitRenderKey(s.Opt, u.Name)
 	rendered := false
@@ -490,18 +382,30 @@ func TimingTable(results []UnitResult) report.Table {
 // the paper wired to its primers. The artifacts render exactly what
 // cmd/repro prints per item.
 func Units() []Unit {
-	warm := func(f func(*Session)) func(*Session) (Artifact, error) {
-		return func(s *Session) (Artifact, error) { f(s); return nil, nil }
+	// Each primer is declared once, by what it fills: a profiled set,
+	// or a workload group's Fig. 6-9 sweep curves.
+	profiles := func(name string, p profiledSet) Unit {
+		return Unit{Name: name, Hidden: true, keys: p.keys, Run: func(s *Session) (Artifact, error) {
+			s.profileSet(p)
+			return nil, nil
+		}}
+	}
+	sweeps := func(name string, group func() []workloads.Workload) Unit {
+		keys := func(opt Options) []artifact.Key { return sweepGroupKeys(group(), opt) }
+		return Unit{Name: name, Hidden: true, keys: keys, Run: func(s *Session) (Artifact, error) {
+			sweepGroup(s, group(), curveInst)
+			return nil, nil
+		}}
 	}
 	return []Unit{
-		{Name: "warm-reps", Hidden: true, Run: warm(func(s *Session) { s.Reps() })},
-		{Name: "warm-mpi", Hidden: true, Run: warm(func(s *Session) { s.MPI() })},
-		{Name: "warm-atom", Hidden: true, Run: warm(func(s *Session) { s.AtomReps() })},
-		{Name: "warm-suites", Hidden: true, Run: warm(func(s *Session) { s.Suites() })},
-		{Name: "warm-sweep-hadoop", Hidden: true, Run: warm(func(s *Session) { sweepGroup(s, hadoopGroup(), curveInst) })},
-		{Name: "warm-sweep-parsec", Hidden: true, Run: warm(func(s *Session) { sweepGroup(s, parsecGroup(), curveInst) })},
-		{Name: "warm-sweep-mpi", Hidden: true, Run: warm(func(s *Session) { sweepGroup(s, workloads.MPI6(), curveInst) })},
-		{Name: "warm-roster", Hidden: true, Run: warm(func(s *Session) { s.Roster() })},
+		profiles("warm-reps", repsSet),
+		profiles("warm-mpi", mpiSet),
+		profiles("warm-atom", atomSet),
+		profiles("warm-suites", suitesSet),
+		sweeps("warm-sweep-hadoop", hadoopGroup),
+		sweeps("warm-sweep-parsec", parsecGroup),
+		sweeps("warm-sweep-mpi", workloads.MPI6),
+		profiles("warm-roster", rosterSet),
 
 		{Name: "table1", Run: func(s *Session) (Artifact, error) {
 			rows := Table1()

@@ -155,11 +155,13 @@ func renderAll(t *testing.T, results []UnitResult) string {
 
 // TestEngineParallelMatchesSerial asserts the concurrent engine renders
 // byte-identical output to a one-worker run, which visits units one at
-// a time in dependency order, for the same options — every table,
-// figure, curve and knee.
+// a time in definition order, primers first, for the same options —
+// every table, figure, curve and knee.
 func TestEngineParallelMatchesSerial(t *testing.T) {
 	sel := visibleExceptReduction()
-	es := &Engine{Session: NewSession(tinyOptions()), Parallelism: 1, Select: sel}
+	serial := NewSession(tinyOptions())
+	serial.Parallelism = 1
+	es := &Engine{Session: serial, Select: sel}
 	serialRes, err := es.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -207,27 +209,51 @@ func TestEngineSelectPullsDeps(t *testing.T) {
 	}
 }
 
+// TestUnitsAreTwoLevel pins the shape the engine's two phases rely
+// on: unit names are unique, hidden primers have no dependencies,
+// every dependency of a visible unit names a primer, and every primer
+// is some visible unit's dependency.
+func TestUnitsAreTwoLevel(t *testing.T) {
+	units := Units()
+	hidden := map[string]bool{}
+	seen := map[string]bool{}
+	for _, u := range units {
+		if seen[u.Name] {
+			t.Errorf("duplicate unit name %q", u.Name)
+		}
+		seen[u.Name] = true
+		if u.Hidden {
+			hidden[u.Name] = true
+			if len(u.Deps) != 0 {
+				t.Errorf("primer %s has dependencies %v", u.Name, u.Deps)
+			}
+		}
+	}
+	used := map[string]bool{}
+	for _, u := range units {
+		if u.Hidden {
+			continue
+		}
+		for _, d := range u.Deps {
+			if !hidden[d] {
+				t.Errorf("unit %s depends on %q, which is not a primer", u.Name, d)
+			}
+			used[d] = true
+		}
+	}
+	for name := range hidden {
+		if !used[name] {
+			t.Errorf("primer %s is no visible unit's dependency", name)
+		}
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	if _, err := (&Engine{Session: NewSession(tinyOptions()), Select: []string{"nonesuch"}}).Run(); err == nil {
 		t.Error("unknown selection not rejected")
 	}
-	bad := []Unit{
-		{Name: "a", Deps: []string{"b"}, Run: func(*Session) (Artifact, error) { return nil, nil }},
-		{Name: "b", Deps: []string{"a"}, Run: func(*Session) (Artifact, error) { return nil, nil }},
-	}
-	if _, err := (&Engine{Session: NewSession(tinyOptions()), Units: bad}).Run(); err == nil {
-		t.Error("dependency cycle not rejected")
-	}
-	dangling := []Unit{{Name: "a", Deps: []string{"ghost"}, Run: func(*Session) (Artifact, error) { return nil, nil }}}
-	if _, err := (&Engine{Session: NewSession(tinyOptions()), Units: dangling}).Run(); err == nil {
-		t.Error("unknown dependency not rejected")
-	}
-	dup := []Unit{
-		{Name: "a", Run: func(*Session) (Artifact, error) { return nil, nil }},
-		{Name: "a", Run: func(*Session) (Artifact, error) { return nil, nil }},
-	}
-	if _, err := (&Engine{Session: NewSession(tinyOptions()), Units: dup}).Run(); err == nil {
-		t.Error("duplicate unit name not rejected")
+	if _, err := (&Engine{Session: NewSession(tinyOptions()), Select: []string{"warm-reps"}}).Run(); err == nil {
+		t.Error("primer selection not rejected")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/artifact"
@@ -75,38 +74,11 @@ func TestRenderKeysSeparateOptions(t *testing.T) {
 	}
 }
 
-// TestCustomUnitsNotRenderMemoized pins the guard rail: custom unit
-// sets (e.Units != nil) run unmemoized, because their names don't
-// identify content the way the fixed paper set's names do.
-func TestCustomUnitsNotRenderMemoized(t *testing.T) {
-	s := NewSession(tinyOptions())
-	calls := 0
-	units := []Unit{{Name: "counter", Run: func(*Session) (Artifact, error) {
-		calls++
-		n := calls
-		return RenderFunc(func(w io.Writer) { fmt.Fprintf(w, "call %d\n", n) }), nil
-	}}}
-	for want := 1; want <= 2; want++ {
-		res, err := (&Engine{Session: s, Units: units}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		res[0].Artifact.Render(&buf)
-		if got := fmt.Sprintf("call %d\n", want); buf.String() != got {
-			t.Fatalf("run %d rendered %q, want %q — custom units must not be memoized", want, buf.String(), got)
-		}
-	}
-	if s.Renders() != 0 {
-		t.Errorf("custom units counted %d renders; the probe tracks only the paper set", s.Renders())
-	}
-}
-
 // TestRenderErrorPropagates pins error handling through the memoized
 // path: a failing unit reports its error, not a cached artifact.
 func TestRenderErrorPropagates(t *testing.T) {
-	// The default set has no failing units, so drive runUnit directly
-	// with a synthetic visible unit while e.Units stays nil.
+	// The paper set has no failing units, so drive runUnit directly
+	// with a synthetic visible unit.
 	s := NewSession(tinyOptions())
 	e := &Engine{Session: s}
 	boom := fmt.Errorf("boom")

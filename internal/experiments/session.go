@@ -73,11 +73,10 @@ type Session struct {
 	Ctx context.Context
 
 	// Parallelism bounds the worker pool of every profiling and sweep
-	// fan-out this session performs (0 = GOMAXPROCS). The Engine's own
-	// Parallelism bounds concurrent experiments; this bounds the work
-	// inside each one — including the per-view fan-out of every
-	// stack-distance sweep pass (machine.StackSweep.Parallelism is
-	// threaded from here).
+	// fan-out this session performs (0 = GOMAXPROCS) — including the
+	// per-view fan-out of every stack-distance sweep pass
+	// (machine.StackSweep.Parallelism is threaded from here) — and the
+	// units an Engine over this session runs at once in each phase.
 	Parallelism int
 
 	// Store backs every memoized fill. Set it (before first use) to a
@@ -173,13 +172,18 @@ type profileKey struct {
 	Budget   int64
 }
 
+// profileKeyFor is the store key of w's profile on cfg at budget — the
+// one builder behind profileOne's fill and the engine's prefetch.
+func profileKeyFor(cfg machine.Config, w workloads.Workload, budget int64) artifact.Key {
+	return artifact.KeyOf("profile", profileKey{Machine: cfg, Workload: workloads.Signature(w), Budget: budget})
+}
+
 // profileOne fills one workload's profile through the store. The
 // persisted form is a ProfileRecord (the live Workload cannot be
 // serialized); it rebinds onto w on the way out, which reproduces the
 // original Profile exactly.
 func (s *Session) profileOne(cfg machine.Config, w workloads.Workload, budget int64) core.Profile {
-	key := artifact.KeyOf("profile", profileKey{Machine: cfg, Workload: workloads.Signature(w), Budget: budget})
-	rec := mustFill(artifact.GetChecked(s.ArtifactStore(), key,
+	rec := mustFill(artifact.GetChecked(s.ArtifactStore(), profileKeyFor(cfg, w, budget),
 		func(r core.ProfileRecord) bool { return r.Matches(w) },
 		func() (core.ProfileRecord, error) {
 			p := core.Profiler{Machine: cfg, Budget: budget}
@@ -201,41 +205,66 @@ type setKey struct {
 	N       int
 }
 
-// profileSet profiles list through the store: one persistent artefact
-// per workload (shared with any other set containing the same workload
-// at the same budget — and with other processes over a disk store),
-// filled through a bounded worker pool, plus one in-memory entry for
-// the assembled set so repeated callers pay nothing.
-func (s *Session) profileSet(set string, cfg machine.Config, list []workloads.Workload, budget int64) []core.Profile {
-	key := artifact.KeyOf("profile-set", setKey{Machine: cfg.Name, Set: set, Budget: budget, N: len(list)})
+// profiledSet declares one profiled workload set: its machine, its
+// workloads and the option that sets its budget. The Session accessor
+// that returns the set, the engine primer that warms it and the
+// prefetch that stages its persisted keys all read this declaration.
+type profiledSet struct {
+	name   string
+	cfg    func() machine.Config
+	list   func() []workloads.Workload
+	budget func(Options) int64
+}
+
+func budgetOpt(o Options) int64 { return o.Budget }
+
+var (
+	repsSet   = profiledSet{"reps17", machine.XeonE5645, workloads.Representative17, budgetOpt}
+	mpiSet    = profiledSet{"mpi6", machine.XeonE5645, workloads.MPI6, budgetOpt}
+	atomSet   = profiledSet{"reps17", machine.AtomD510, workloads.Representative17, budgetOpt}
+	suitesSet = profiledSet{"suites-flat", machine.XeonE5645, suitesFlat, budgetOpt}
+	rosterSet = profiledSet{"roster77", machine.XeonE5645, workloads.Roster77,
+		func(o Options) int64 { return o.RosterBudget }}
+)
+
+// keys lists the persisted profile keys p fills at opt.
+func (p profiledSet) keys(opt Options) []artifact.Key {
+	cfg, budget, list := p.cfg(), p.budget(opt), p.list()
+	keys := make([]artifact.Key, len(list))
+	for i, w := range list {
+		keys[i] = profileKeyFor(cfg, w, budget)
+	}
+	return keys
+}
+
+// profileSet profiles p's workloads through the store: one persistent
+// artefact per workload (shared with any other set containing the same
+// workload at the same budget — and with other processes over a disk
+// store), filled through a bounded worker pool, plus one in-memory
+// entry for the assembled set so repeated callers pay nothing.
+func (s *Session) profileSet(p profiledSet) []core.Profile {
+	cfg, budget, list := p.cfg(), p.budget(s.Opt), p.list()
+	key := artifact.KeyOf("profile-set", setKey{Machine: cfg.Name, Set: p.name, Budget: budget, N: len(list)})
 	return mustFill(artifact.GetMem(s.ArtifactStore(), key, func() ([]core.Profile, error) {
 		return s.Profiles(cfg, list, budget), nil
 	}))
 }
 
 // Reps returns the 17 representative workloads profiled on the Xeon.
-func (s *Session) Reps() []core.Profile {
-	return s.profileSet("reps17", machine.XeonE5645(), workloads.Representative17(), s.Opt.Budget)
-}
+func (s *Session) Reps() []core.Profile { return s.profileSet(repsSet) }
 
 // MPI returns the six MPI implementations profiled on the Xeon.
-func (s *Session) MPI() []core.Profile {
-	return s.profileSet("mpi6", machine.XeonE5645(), workloads.MPI6(), s.Opt.Budget)
-}
+func (s *Session) MPI() []core.Profile { return s.profileSet(mpiSet) }
 
 // AtomReps returns the 17 representatives profiled on the Atom D510
 // model (used by Table 4's misprediction comparison).
-func (s *Session) AtomReps() []core.Profile {
-	return s.profileSet("reps17", machine.AtomD510(), workloads.Representative17(), s.Opt.Budget)
-}
+func (s *Session) AtomReps() []core.Profile { return s.profileSet(atomSet) }
 
 // Roster returns the full 77-workload roster profiled on the Xeon at
 // the roster budget — the input to the §3 reduction, behind the same
 // memoization as Reps()/Suites() so the reduction experiment, cmd/wcrt
 // and future experiments share one profiling pass.
-func (s *Session) Roster() []core.Profile {
-	return s.profileSet("roster77", machine.XeonE5645(), workloads.Roster77(), s.Opt.RosterBudget)
-}
+func (s *Session) Roster() []core.Profile { return s.profileSet(rosterSet) }
 
 // Profiles characterizes an ad-hoc workload list on cfg at an explicit
 // budget through the same per-workload store artefacts (cmd/wcrt's
@@ -273,29 +302,31 @@ type suiteSet struct {
 func (s *Session) Suites() (map[string]metrics.Vector, map[string][]core.Profile) {
 	key := artifact.KeyOf("suite-set", setKey{Machine: machine.XeonE5645().Name, Set: "suites", Budget: s.Opt.Budget})
 	v := mustFill(artifact.GetMem(s.ArtifactStore(), key, func() (*suiteSet, error) {
+		profs := s.profileSet(suitesSet)
 		all := suites.All()
-		names := suites.Names()
-		var flat []workloads.Workload
-		spans := make(map[string][2]int, len(names))
-		for _, name := range names {
-			start := len(flat)
-			flat = append(flat, all[name]...)
-			spans[name] = [2]int{start, len(flat)}
-		}
-		profs := s.profileSet("suites-flat", machine.XeonE5645(), flat, s.Opt.Budget)
-		out := &suiteSet{
-			avg:  make(map[string]metrics.Vector, len(names)),
-			runs: make(map[string][]core.Profile, len(names)),
-		}
-		for _, name := range names {
-			span := spans[name]
-			runs := profs[span[0]:span[1]:span[1]]
+		out := &suiteSet{avg: map[string]metrics.Vector{}, runs: map[string][]core.Profile{}}
+		start := 0
+		for _, name := range suites.Names() {
+			end := start + len(all[name])
+			runs := profs[start:end:end]
 			out.runs[name] = runs
 			out.avg[name] = machineutil.Average(runs)
+			start = end
 		}
 		return out, nil
 	}))
 	return v.avg, v.runs
+}
+
+// suitesFlat lists every comparator-suite workload, suite by suite in
+// suites.Names() order.
+func suitesFlat() []workloads.Workload {
+	all := suites.All()
+	var flat []workloads.Workload
+	for _, name := range suites.Names() {
+		flat = append(flat, all[name]...)
+	}
+	return flat
 }
 
 // sweepKey identifies one workload's cache-sweep curves. Ways and
@@ -309,6 +340,20 @@ type sweepKey struct {
 	SizesKB  []int
 	Ways     int `json:",omitempty"`
 	Line     int `json:",omitempty"`
+}
+
+// sweepKeyFor is the store key of w's curves at one geometry — the one
+// builder behind SweepCurvesMulti's fill and the engine's prefetch.
+func sweepKeyFor(w workloads.Workload, budget int64, sizes []int, ways, lineBytes int) artifact.Key {
+	if ways == machine.DefaultSweepWays {
+		ways = 0
+	}
+	if lineBytes == machine.DefaultSweepLineBytes {
+		lineBytes = 0
+	}
+	return artifact.KeyOf("sweep-curves", sweepKey{
+		Workload: workloads.Signature(w), Budget: budget, SizesKB: sizes, Ways: ways, Line: lineBytes,
+	})
 }
 
 // SweepCurves returns the memoized Fig. 6-9 cache-sweep curves for one
@@ -351,21 +396,10 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 	if len(waysList) == 0 {
 		panic("experiments: SweepCurvesMulti with no geometries")
 	}
-	sig := workloads.Signature(w)
-	line := lineBytes
-	if line == machine.DefaultSweepLineBytes {
-		line = 0
-	}
 	check := sweepCheck(sizes)
 	keys := make([]artifact.Key, len(waysList))
 	for i, ways := range waysList {
-		if ways == machine.DefaultSweepWays {
-			ways = 0
-		}
-		keys[i] = artifact.KeyOf("sweep-curves", sweepKey{
-			Workload: sig, Budget: budget, SizesKB: sizes,
-			Ways: ways, Line: line,
-		})
+		keys[i] = sweepKeyFor(w, budget, sizes, ways, lineBytes)
 	}
 	out := make([]machine.Curves, len(waysList))
 
@@ -418,55 +452,6 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 		}))
 	}
 	return out
-}
-
-// primerKeys enumerates the persisted store keys one hidden primer
-// unit will fill — the per-workload profile records or sweep curves
-// behind it. It must mirror the fills the primer actually performs
-// (profileOne / SweepCurvesSpec build identical keys), which is why it
-// lives beside those key types. Unknown primers contribute nothing.
-func (s *Session) primerKeys(primer string) []artifact.Key {
-	profiles := func(cfg machine.Config, list []workloads.Workload, budget int64) []artifact.Key {
-		keys := make([]artifact.Key, 0, len(list))
-		for _, w := range list {
-			keys = append(keys, artifact.KeyOf("profile",
-				profileKey{Machine: cfg, Workload: workloads.Signature(w), Budget: budget}))
-		}
-		return keys
-	}
-	sweeps := func(list []workloads.Workload, budget int64) []artifact.Key {
-		keys := make([]artifact.Key, 0, len(list))
-		for _, w := range list {
-			keys = append(keys, artifact.KeyOf("sweep-curves", sweepKey{
-				Workload: workloads.Signature(w), Budget: budget, SizesKB: machine.DefaultSweepSizesKB,
-			}))
-		}
-		return keys
-	}
-	switch primer {
-	case "warm-reps":
-		return profiles(machine.XeonE5645(), workloads.Representative17(), s.Opt.Budget)
-	case "warm-mpi":
-		return profiles(machine.XeonE5645(), workloads.MPI6(), s.Opt.Budget)
-	case "warm-atom":
-		return profiles(machine.AtomD510(), workloads.Representative17(), s.Opt.Budget)
-	case "warm-suites":
-		var flat []workloads.Workload
-		all := suites.All()
-		for _, name := range suites.Names() {
-			flat = append(flat, all[name]...)
-		}
-		return profiles(machine.XeonE5645(), flat, s.Opt.Budget)
-	case "warm-roster":
-		return profiles(machine.XeonE5645(), workloads.Roster77(), s.Opt.RosterBudget)
-	case "warm-sweep-hadoop":
-		return sweeps(hadoopGroup(), s.Opt.SweepBudget)
-	case "warm-sweep-parsec":
-		return sweeps(parsecGroup(), s.Opt.SweepBudget)
-	case "warm-sweep-mpi":
-		return sweeps(workloads.MPI6(), s.Opt.SweepBudget)
-	}
-	return nil
 }
 
 // TracePasses reports how many stack-distance sweep trace passes the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/artifact"
@@ -92,6 +93,89 @@ func TestColdWarmEngineByteIdentical(t *testing.T) {
 			t.Errorf("unit %s: warm output differs from cold (%d vs %d bytes)", name, len(got), len(want))
 		}
 	}
+}
+
+// bulkBackend is a map backend with a closure download, counting
+// per-key Gets and FetchAll calls.
+type bulkBackend struct {
+	mu       sync.Mutex
+	entries  map[string][]byte
+	gets     int
+	fetchAll int
+}
+
+func (b *bulkBackend) Get(id string) ([]byte, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.gets++
+	e, ok := b.entries[id]
+	return e, ok
+}
+
+func (b *bulkBackend) Put(id string, data []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.entries[id] = data
+}
+
+func (b *bulkBackend) FetchAll(ids []string) map[string][]byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.fetchAll++
+	out := map[string][]byte{}
+	for _, id := range ids {
+		if e, ok := b.entries[id]; ok {
+			out[id] = e
+		}
+	}
+	return out
+}
+
+// TestWarmEngineStagesEveryKeyItReads pins Engine.prefetch: after a
+// cold full run has filled a bulk-capable backend, a full run in a
+// fresh session over a new store on that backend must find every
+// persisted key it reads in the one closure download — zero per-key
+// backend Gets and exactly one FetchAll.
+func TestWarmEngineStagesEveryKeyItReads(t *testing.T) {
+	bb := &bulkBackend{entries: map[string][]byte{}}
+	cold := NewSession(tinyOptions())
+	cold.Store = artifact.NewWithBackend(bb)
+	coldOut := runUnits(t, &Engine{Session: cold})
+
+	bb.mu.Lock()
+	bb.gets, bb.fetchAll = 0, 0
+	bb.mu.Unlock()
+	warm := NewSession(tinyOptions())
+	warm.Store = artifact.NewWithBackend(bb)
+	warmOut := runUnits(t, &Engine{Session: warm})
+
+	bb.mu.Lock()
+	gets, fetchAll := bb.gets, bb.fetchAll
+	bb.mu.Unlock()
+	if gets != 0 || fetchAll != 1 {
+		t.Errorf("warm run issued %d per-key Gets and %d FetchAll calls, want 0 and 1", gets, fetchAll)
+	}
+	if st := warm.Store.Stats(); st.Prefetched == 0 || st.BackendHits != st.Prefetched {
+		t.Errorf("warm run staged %d entries for %d backend hits, want every hit staged", st.Prefetched, st.BackendHits)
+	}
+	if len(warmOut) != len(coldOut) {
+		t.Fatalf("warm run rendered %d units, cold %d", len(warmOut), len(coldOut))
+	}
+	for name, want := range coldOut {
+		if !bytes.Equal(warmOut[name], want) {
+			t.Errorf("unit %s: warm output differs from cold", name)
+		}
+	}
+}
+
+// runUnits runs e and renders its visible units.
+func runUnits(t *testing.T, e *Engine) map[string][]byte {
+	t.Helper()
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderUnits(t, res)
 }
 
 // TestShardedEngineMergesToFullRun partitions the visible units across

@@ -3,6 +3,7 @@ package experiments
 import (
 	"io"
 
+	"repro/internal/artifact"
 	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/report"
@@ -33,6 +34,16 @@ func curveUnified(c machine.Curves) []float64 { return c.Unified }
 // bounded worker pool, mirroring core.Profiler.ProfileAll.
 func sweepGroup(s *Session, list []workloads.Workload, view func(machine.Curves) []float64) []float64 {
 	return sweepGroupMulti(s, list, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0, view)[0]
+}
+
+// sweepGroupKeys lists the persisted curve keys sweepGroup fills for
+// list at opt.
+func sweepGroupKeys(list []workloads.Workload, opt Options) []artifact.Key {
+	keys := make([]artifact.Key, len(list))
+	for i, w := range list {
+		keys[i] = sweepKeyFor(w, opt.SweepBudget, machine.DefaultSweepSizesKB, 0, 0)
+	}
+	return keys
 }
 
 // sweepGroupMulti averages one view of the group's curves at each

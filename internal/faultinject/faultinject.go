@@ -1,13 +1,13 @@
 // Package faultinject is the deterministic chaos layer: a seeded,
 // schedule-driven injector that wraps an http.RoundTripper (client
-// side), an http.Handler (server side), or an artifact.Backend (store
-// side) and injects latency, 5xx/connection-reset errors, truncated
-// bodies, and flapping down-for-N-seconds windows.
+// side) or an http.Handler (server side) and injects latency,
+// 5xx/connection-reset errors, truncated bodies, and flapping
+// down-for-N-seconds windows.
 //
 // It exists to prove the resilience machinery (internal/retry, fleet
 // peer breakers, degraded-mode serving) actually works: unit tests
-// wrap transports and backends directly, and reprod/artifactd expose
-// a testing-only -fault-spec flag that wraps their serving surface so
+// wrap transports directly, and reprod/artifactd expose a
+// testing-only -fault-spec flag that wraps their serving surface so
 // the chaos CI job can run a flapping replica against a faulty
 // backend.
 //

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/artifact"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -279,78 +277,5 @@ func TestHandlerTruncation(t *testing.T) {
 	b, err := io.ReadAll(resp.Body)
 	if err == nil && len(b) >= len(payload) {
 		t.Fatalf("response not truncated: %d bytes, err=%v", len(b), err)
-	}
-}
-
-// memBackend is a trivial in-memory artifact.Backend.
-type memBackend struct{ m map[string][]byte }
-
-func (b *memBackend) Get(id string) ([]byte, bool) { d, ok := b.m[id]; return d, ok }
-func (b *memBackend) Put(id string, data []byte)   { b.m[id] = data }
-
-func TestBackendWrapperFaults(t *testing.T) {
-	inner := &memBackend{m: map[string][]byte{}}
-	in := New(Spec{Seed: 4, ErrProb: 1})
-	fb := in.Backend(inner)
-	fb.Put("a", []byte("data"))
-	if len(inner.m) != 0 {
-		t.Fatal("faulty Put reached the inner backend")
-	}
-	inner.m["a"] = []byte("data")
-	if _, ok := fb.Get("a"); ok {
-		t.Fatal("faulty Get returned a hit")
-	}
-	if in.Stats().Errors != 2 {
-		t.Fatalf("errors=%d, want 2", in.Stats().Errors)
-	}
-
-	// Truncation corrupts entries; a Store must discard them.
-	in2 := New(Spec{Seed: 4, TruncProb: 1})
-	fb2 := in2.Backend(inner)
-	got, ok := fb2.Get("a")
-	if !ok || len(got) >= len(inner.m["a"]) {
-		t.Fatalf("truncating Get: ok=%v len=%d", ok, len(got))
-	}
-}
-
-func TestBackendWrapperCorruptionNeverPoisonsStore(t *testing.T) {
-	// A store reading through a 100%-truncating backend must treat
-	// every entry as a miss and recompute — never return wrong bytes.
-	inner := &memBackend{m: map[string][]byte{}}
-	key := artifact.KeyOf("test-kind", map[string]any{"n": 1})
-	if _, err := artifact.Get(artifact.NewWithBackend(inner), key, func() (string, error) {
-		return "payload", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(inner.m) != 1 {
-		t.Fatalf("seed store left %d entries, want 1", len(inner.m))
-	}
-
-	in := New(Spec{Seed: 8, TruncProb: 1})
-	store := artifact.NewWithBackend(in.Backend(inner))
-	computes := 0
-	got, err := artifact.Get(store, key, func() (string, error) {
-		computes++
-		return "payload", nil
-	})
-	if err != nil || got != "payload" {
-		t.Fatalf("got %q err=%v", got, err)
-	}
-	if computes != 1 {
-		t.Fatalf("computes=%d, want 1 (corrupt entry must cost a recompute)", computes)
-	}
-}
-
-func TestBackendWrapperPassesThroughWhenClean(t *testing.T) {
-	inner := &memBackend{m: map[string][]byte{}}
-	in := New(Spec{Seed: 4}) // no faults
-	fb := in.Backend(inner)
-	fb.Put("a", []byte("data"))
-	if got, ok := fb.Get("a"); !ok || string(got) != "data" {
-		t.Fatalf("clean wrapper mangled data: %q %v", got, ok)
-	}
-	if out := fb.(artifact.BulkFetcher).FetchAll([]string{"a"}); out != nil {
-		t.Fatal("bulk over non-bulk inner backend should return nil")
 	}
 }

@@ -1,6 +1,6 @@
 // Package report renders the experiment results as aligned ASCII
-// tables, horizontal bar charts and CSV series — the textual equivalent
-// of WCRT's "statistical and visual functions" (§2.2).
+// tables, or as CSV (cmd/wcrt -csv) — the textual equivalent of WCRT's
+// "statistical and visual functions" (§2.2).
 package report
 
 import (
@@ -73,49 +73,6 @@ func (t *Table) CSV(w io.Writer) {
 	fmt.Fprintln(w, strings.Join(t.Headers, ","))
 	for _, row := range t.Rows {
 		fmt.Fprintln(w, strings.Join(row, ","))
-	}
-}
-
-// Bars renders a labelled horizontal bar chart of values scaled to
-// maxWidth characters.
-func Bars(w io.Writer, title string, labels []string, values []float64, maxWidth int) {
-	if title != "" {
-		fmt.Fprintf(w, "== %s ==\n", title)
-	}
-	lw, maxV := 0, 0.0
-	for i, l := range labels {
-		if len(l) > lw {
-			lw = len(l)
-		}
-		if values[i] > maxV {
-			maxV = values[i]
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	for i, l := range labels {
-		n := int(values[i] / maxV * float64(maxWidth))
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(w, "%s  %s %s\n", pad(l, lw), strings.Repeat("#", n), trimFloat(values[i]))
-	}
-}
-
-// Series writes an x/y CSV (the figure-curve format).
-func Series(w io.Writer, xName string, xs []float64, cols map[string][]float64, order []string) {
-	fmt.Fprintf(w, "%s", xName)
-	for _, name := range order {
-		fmt.Fprintf(w, ",%s", name)
-	}
-	fmt.Fprintln(w)
-	for i, x := range xs {
-		fmt.Fprintf(w, "%s", trimFloat(x))
-		for _, name := range order {
-			fmt.Fprintf(w, ",%s", trimFloat(cols[name][i]))
-		}
-		fmt.Fprintln(w)
 	}
 }
 

@@ -46,25 +46,3 @@ func TestFloatTrimming(t *testing.T) {
 		}
 	}
 }
-
-func TestBars(t *testing.T) {
-	var sb strings.Builder
-	Bars(&sb, "B", []string{"one", "two"}, []float64{1, 2}, 10)
-	out := sb.String()
-	if !strings.Contains(out, "##########") {
-		t.Fatalf("max bar not full width:\n%s", out)
-	}
-	if !strings.Contains(out, "#####") {
-		t.Fatalf("half bar missing:\n%s", out)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var sb strings.Builder
-	Series(&sb, "x", []float64{1, 2},
-		map[string][]float64{"y": {10, 20}}, []string{"y"})
-	want := "x,y\n1,10\n2,20\n"
-	if sb.String() != want {
-		t.Fatalf("Series output %q, want %q", sb.String(), want)
-	}
-}

@@ -168,7 +168,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sub := s.bus.Subscribe(s.eventBuf(), topics...)
+	sub := s.bus.Subscribe(eventbus.DefaultBuffer, topics...)
 	defer sub.Close()
 	streamSSE(r.Context(), w, fl, sub, 0, nil)
 }
@@ -183,7 +183,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job)
 	if !ok {
 		return
 	}
-	sub := s.bus.Subscribe(s.eventBuf(), "job/"+j.id)
+	sub := s.bus.Subscribe(eventbus.DefaultBuffer, "job/"+j.id)
 	defer sub.Close()
 	backlog, dropped := j.eventSnapshot()
 	if dropped > 0 {

@@ -95,11 +95,6 @@ type Config struct {
 	// record but recovered from the store at GET time when still
 	// resident (see jobStatus).
 	MaxJobResultBytes int
-	// EventBuffer sizes each SSE subscriber's event ring
-	// (0 = eventbus.DefaultBuffer). A subscriber that falls behind
-	// sheds its oldest buffered events — the stream carries a `lag`
-	// event when that happens — and never slows a publisher.
-	EventBuffer int
 }
 
 // Server is the reprod serving core, usable behind any http.Server
@@ -199,14 +194,6 @@ func (s *Server) breakerEvent(peer string) func(from, to retry.State) {
 	}
 }
 
-// eventBuf is the per-subscriber ring capacity for SSE streams.
-func (s *Server) eventBuf() int {
-	if s.cfg.EventBuffer > 0 {
-		return s.cfg.EventBuffer
-	}
-	return eventbus.DefaultBuffer
-}
-
 // Bus returns the server's event bus (tests subscribe directly).
 func (s *Server) Bus() *eventbus.Bus { return s.bus }
 
@@ -281,7 +268,7 @@ func validUnit(name string) bool {
 // renderUnit runs the one-unit engine (primers included) and extracts
 // the unit's rendered bytes.
 func (s *Server) renderUnit(ctx context.Context, sess *experiments.Session, unit string, events experiments.EventSink) ([]byte, error) {
-	e := &experiments.Engine{Session: sess, Parallelism: s.cfg.Parallelism, Select: []string{unit}, Events: events}
+	e := &experiments.Engine{Session: sess, Select: []string{unit}, Events: events}
 	results, err := e.RunContext(ctx)
 	if err != nil {
 		return nil, err
@@ -344,7 +331,7 @@ func (s *Server) runJob(j *job) {
 	}
 
 	if len(j.req.Units) > 0 {
-		e := &experiments.Engine{Session: sess, Parallelism: s.cfg.Parallelism, Select: j.req.Units, Events: jobSink{s, j}}
+		e := &experiments.Engine{Session: sess, Select: j.req.Units, Events: jobSink{s, j}}
 		runResults, err := e.RunContext(j.ctx)
 		if err != nil && firstErr == nil {
 			firstErr = err

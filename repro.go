@@ -52,8 +52,8 @@ type Reduction = core.Reduction
 // Session caches experiment runs.
 type Session = experiments.Session
 
-// Engine runs the paper's tables and figures as a dependency-aware
-// concurrent batch over one Session.
+// Engine runs the paper's tables and figures over one Session in two
+// phases: the cache primers, then the tables and figures.
 type Engine = experiments.Engine
 
 // UnitResult is one executed experiment with its wall time.
