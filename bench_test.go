@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/sim/isa"
 	"repro/internal/sim/machine"
@@ -459,16 +459,38 @@ func BenchmarkServeWarmUnit(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadThroughput measures raw simulation speed (the cost
-// of one characterization run).
-func BenchmarkWorkloadThroughput(b *testing.B) {
-	w := Representative17()[14] // H-WordCount
-	cfg := XeonE5645()
+// BenchmarkServeWarmScenario measures the warm scenario path: one
+// POST /scenarios decoded, canonicalized against the static workload
+// index, keyed and answered by artifact.Peek — no session, no
+// simulation.
+func BenchmarkServeWarmScenario(b *testing.B) {
+	opt := experiments.Options{Budget: 50_000, SweepBudget: 25_000, RosterBudget: 10_000}
+	srv, err := serve.New(serve.Config{Opt: opt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const spec = `{"workloads": ["H-Grep", "S-Sort"], "sizes_kb": [16, 64, 256]}`
+	post := func() *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(spec))
+		if err != nil || resp.StatusCode != 200 {
+			b.Fatalf("POST /v1/scenarios: %v %v", err, resp)
+		}
+		return resp
+	}
+	post().Body.Close()
+	computes := srv.Metrics().Int("computes")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(w, cfg, 200_000)
+		resp := post()
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
-	b.ReportMetric(200_000*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+	if n := srv.Metrics().Int("computes"); n != computes {
+		b.Fatalf("warm serving computed %d times, want %d", n, computes)
+	}
 }
 
 // layerBenchBudget is the per-workload instruction budget of the
@@ -535,19 +557,6 @@ func BenchmarkMachineProfile(b *testing.B) {
 			}
 			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 		})
-	}
-}
-
-// BenchmarkCharacterizeVector measures the 45-metric collection path.
-func BenchmarkCharacterizeVector(b *testing.B) {
-	list := MPI6()[:2]
-	cfg := XeonE5645()
-	for i := 0; i < b.N; i++ {
-		profiles := Characterize(list, cfg, 100_000)
-		var v Vector = profiles[0].Vector
-		if v[metrics.IPC] == 0 {
-			b.Fatal("empty vector")
-		}
 	}
 }
 

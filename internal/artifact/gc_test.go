@@ -258,3 +258,22 @@ func TestParseGCSpec(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseGCSpec feeds arbitrary -gc specs to ParseGCSpec: it must
+// never panic, and an accepted spec sets at least one bound, neither
+// negative. The committed seeds include the size and age specs that
+// once overflowed.
+func FuzzParseGCSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseGCSpec(spec)
+		if err != nil {
+			return
+		}
+		if p.MaxBytes < 0 || p.MaxAge < 0 {
+			t.Fatalf("ParseGCSpec(%q) accepted a negative bound: %+v", spec, p)
+		}
+		if p.MaxBytes == 0 && p.MaxAge == 0 {
+			t.Fatalf("ParseGCSpec(%q) accepted a spec that bounds nothing", spec)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package artifact
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,38 @@ func TestQuotaStringRoundTrips(t *testing.T) {
 	if (MemQuota{}).String() != "unbounded" {
 		t.Fatalf("zero quota String = %q", (MemQuota{}).String())
 	}
+}
+
+// FuzzParseQuotaSpec feeds arbitrary -mem-quota specs to
+// ParseQuotaSpec: it must never panic, an accepted spec must bound
+// something with non-negative bounds, and its String must parse back
+// to an equal quota. The committed seeds include the size and age
+// specs that once overflowed.
+func FuzzParseQuotaSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		q, err := ParseQuotaSpec(spec)
+		if err != nil {
+			return
+		}
+		if !q.Enabled() {
+			t.Fatalf("ParseQuotaSpec(%q) accepted an unbounded quota", spec)
+		}
+		if q.MaxBytes < 0 || q.MaxAge < 0 {
+			t.Fatalf("ParseQuotaSpec(%q) accepted a negative bound: %+v", spec, q)
+		}
+		for kind, n := range q.Kinds {
+			if n < 0 {
+				t.Fatalf("ParseQuotaSpec(%q) accepted kind %q at %d bytes", spec, kind, n)
+			}
+		}
+		back, err := ParseQuotaSpec(q.String())
+		if err != nil {
+			t.Fatalf("ParseQuotaSpec(%q) rejects its own String %q: %v", spec, q.String(), err)
+		}
+		if !reflect.DeepEqual(back, q) {
+			t.Fatalf("ParseQuotaSpec(%q) = %+v, but its String %q parses as %+v", spec, q, q.String(), back)
+		}
+	})
 }
 
 // memVal is the soak/eviction payload: deterministic function of its

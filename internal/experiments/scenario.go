@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/artifact"
 	"repro/internal/sim/machine"
@@ -109,6 +110,18 @@ func scenarioCatalogue() map[string]workloads.Workload {
 	return idx
 }
 
+// scenarioIDs is the set of IDs scenarioCatalogue accepts, built once:
+// Canonical validates against it without constructing a Workload. run
+// still builds its own catalogue, so concurrent cold computes never
+// share a kernel instance.
+var scenarioIDs = sync.OnceValue(func() map[string]struct{} {
+	ids := make(map[string]struct{}, 84)
+	for id := range scenarioCatalogue() {
+		ids[id] = struct{}{}
+	}
+	return ids
+})
+
 // scenarioViews is the canonical view order.
 var scenarioViews = []struct {
 	name string
@@ -144,11 +157,11 @@ func (sc Scenario) Canonical(opt Options) (Scenario, error) {
 	}
 	sort.Strings(out.Groups)
 
-	catalogue := scenarioCatalogue()
+	ids := scenarioIDs()
 	seenW := map[string]bool{}
 	for _, id := range sc.Workloads {
 		id = strings.TrimSpace(id)
-		if _, ok := catalogue[id]; !ok {
+		if _, ok := ids[id]; !ok {
 			return Scenario{}, fmt.Errorf("experiments: unknown scenario workload %q", id)
 		}
 		if !seenW[id] {

@@ -52,6 +52,37 @@ func TestScenarioCanonicalEquivalence(t *testing.T) {
 	}
 }
 
+// TestScenarioCanonicalAllocs pins the serving daemon's warm scenario
+// path: canonicalizing a spec validates its workload IDs against the
+// once-built ID set and constructs no Workload. Building the
+// catalogue takes about 256 allocations, so the cap catches any call
+// that builds it per request.
+func TestScenarioCanonicalAllocs(t *testing.T) {
+	spec := Scenario{Workloads: []string{"H-Grep", "S-Sort"}, SizesKB: []int{16, 64, 256}}
+	opt := Quick()
+	if _, err := spec.Canonical(opt); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { spec.Canonical(opt) }); n > 16 {
+		t.Fatalf("Canonical allocates %.0f times per call, want <= 16", n)
+	}
+}
+
+// TestScenarioIDsMatchCatalogue keeps validation and the cold path in
+// step: Canonical accepts exactly the IDs run can resolve.
+func TestScenarioIDsMatchCatalogue(t *testing.T) {
+	catalogue := scenarioCatalogue()
+	ids := scenarioIDs()
+	if len(ids) != len(catalogue) {
+		t.Fatalf("ID set holds %d IDs, catalogue %d", len(ids), len(catalogue))
+	}
+	for id := range catalogue {
+		if _, ok := ids[id]; !ok {
+			t.Errorf("catalogue workload %q missing from the ID set", id)
+		}
+	}
+}
+
 // TestScenarioValidation pins rejection of every malformed field.
 func TestScenarioValidation(t *testing.T) {
 	opt := tinyOptions()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -280,6 +281,25 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("ParseShard(%q) accepted as %d/%d", spec, i, n)
 		}
 	}
+}
+
+// FuzzParseShard feeds arbitrary -shard specs to ParseShard: it must
+// never panic, an accepted spec names a shard 0 <= i < n of n >= 2,
+// and the spec's plain decimal form parses back to the same shard.
+func FuzzParseShard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		i, n, err := ParseShard(spec)
+		if err != nil {
+			return
+		}
+		if n < 2 || i < 0 || i >= n {
+			t.Fatalf("ParseShard(%q) accepted shard %d/%d", spec, i, n)
+		}
+		plain := fmt.Sprintf("%d/%d", i, n)
+		if bi, bn, err := ParseShard(plain); err != nil || bi != i || bn != n {
+			t.Fatalf("ParseShard(%q) = %d/%d, but %q parses as %d/%d (%v)", spec, i, n, plain, bi, bn, err)
+		}
+	})
 }
 
 // TestRosterMemoized pins the PR-1 follow-up: the 77-workload roster

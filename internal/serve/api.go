@@ -142,13 +142,13 @@ func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	unit := strings.ToLower(strings.TrimPrefix(r.URL.Path, "/v1/units/"))
-	if !validUnit(unit) {
+	key, ok := s.units[unit]
+	if !ok {
 		writeErr(w, http.StatusNotFound, "unknown_unit", fmt.Sprintf("unknown unit %q (known: %s)",
 			unit, strings.Join(experiments.VisibleUnitNames(), " ")), "")
 		return
 	}
 	s.unitReqs.Add(1)
-	key := experiments.UnitRenderKey(s.cfg.Opt, unit)
 	if b, ok := artifact.Peek[[]byte](s.store, key, nil); ok {
 		s.warmHits.Add(1)
 		respond(w, key.ID(), "warm", b)
@@ -293,7 +293,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		for i, u := range req.Units {
 			req.Units[i] = strings.ToLower(u)
-			if !validUnit(req.Units[i]) {
+			if _, ok := s.units[req.Units[i]]; !ok {
 				writeErr(w, http.StatusBadRequest, "unknown_unit", fmt.Sprintf("unknown unit %q", u), "")
 				return
 			}

@@ -33,12 +33,14 @@ func TestErrorEnvelope(t *testing.T) {
 		code               string
 	}{
 		{http.MethodGet, "/v1/units/fig99", "", http.StatusNotFound, "unknown_unit"},
+		{http.MethodGet, "/v1/units/warm-roster", "", http.StatusNotFound, "unknown_unit"}, // hidden primer
 		{http.MethodPost, "/v1/units/fig6", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{http.MethodGet, "/v1/scenarios", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{http.MethodPost, "/v1/scenarios", "not json", http.StatusBadRequest, "bad_body"},
 		{http.MethodPost, "/v1/scenarios", `{"workloads": ["Z-Nothing"]}`, http.StatusBadRequest, "invalid_scenario"},
 		{http.MethodPost, "/v1/jobs", `{}`, http.StatusBadRequest, "invalid_job"},
 		{http.MethodPost, "/v1/jobs", `{"units": ["fig99"]}`, http.StatusBadRequest, "unknown_unit"},
+		{http.MethodPost, "/v1/jobs", `{"units": ["warm-reps"]}`, http.StatusBadRequest, "unknown_unit"}, // hidden primer
 		{http.MethodPost, "/v1/jobs", "garbage", http.StatusBadRequest, "bad_body"},
 		{http.MethodGet, "/v1/jobs/job-99999999", "", http.StatusNotFound, "unknown_job"},
 		{http.MethodGet, "/v1/jobs?state=flying", "", http.StatusBadRequest, "invalid_query"},

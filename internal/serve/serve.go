@@ -108,6 +108,11 @@ type Server struct {
 	fleet     *fleet
 	resultCap int
 
+	// units maps each visible paper unit to its render key at cfg.Opt,
+	// built once by New: validating and keying a unit request is one
+	// lookup.
+	units map[string]artifact.Key
+
 	// bus is the live observability fan-out (GET /v1/events). The topic
 	// publishers are pre-bound handles the hot paths gate on — an idle
 	// bus costs one atomic load per instrumentation site.
@@ -149,6 +154,10 @@ func New(cfg Config) (*Server, error) {
 	if cap <= 0 {
 		cap = defaultJobResultBytes
 	}
+	units := map[string]artifact.Key{}
+	for _, name := range experiments.VisibleUnitNames() {
+		units[name] = experiments.UnitRenderKey(cfg.Opt, name)
+	}
 	bus := eventbus.New()
 	srv := &Server{
 		cfg:          cfg,
@@ -157,6 +166,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:         newJobSet(),
 		fleet:        fl,
 		resultCap:    cap,
+		units:        units,
 		bus:          bus,
 		engineEvents: bus.Topic("engine"),
 		flightEvents: bus.Topic("flight"),
@@ -255,16 +265,6 @@ func (s *Server) compute(ctx context.Context, keyID string, fn func(sess *experi
 	return out, err
 }
 
-// validUnit reports whether name is a selectable paper unit.
-func validUnit(name string) bool {
-	for _, u := range experiments.VisibleUnitNames() {
-		if u == name {
-			return true
-		}
-	}
-	return false
-}
-
 // renderUnit runs the one-unit engine (primers included) and extracts
 // the unit's rendered bytes.
 func (s *Server) renderUnit(ctx context.Context, sess *experiments.Session, unit string, events experiments.EventSink) ([]byte, error) {
@@ -350,7 +350,7 @@ func (s *Server) runJob(j *job) {
 			if r.Err == nil && !r.Unit.Hidden && r.Artifact != nil {
 				var buf strings.Builder
 				r.Artifact.Render(&buf)
-				keep(r.Unit.Name, experiments.UnitRenderKey(s.cfg.Opt, r.Unit.Name), []byte(buf.String()))
+				keep(r.Unit.Name, s.units[r.Unit.Name], []byte(buf.String()))
 			}
 			timings = append(timings, UnitTiming{
 				Unit: r.Unit.Name, Ms: float64(r.Elapsed.Microseconds()) / 1000, Status: status,
@@ -486,7 +486,7 @@ func (s *Server) recomputeResult(ctx context.Context, j *job, name string, key a
 				return experiments.RunScenario(sess, canon)
 			})
 		}
-	} else if validUnit(name) {
+	} else if _, ok := s.units[name]; ok {
 		run = func(fctx context.Context) ([]byte, error) {
 			return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
 				return s.renderUnit(fctx, sess, name, s.engineEvents)

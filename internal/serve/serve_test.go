@@ -229,6 +229,27 @@ func TestUnknownUnit404(t *testing.T) {
 	}
 }
 
+// TestUnitIndexMatchesEngine pins the per-server unit index that
+// validates and keys unit requests: exactly the visible units, each
+// under the key the engine memoizes its render with.
+func TestUnitIndexMatchesEngine(t *testing.T) {
+	srv, _ := startServer(t, Config{})
+	names := experiments.VisibleUnitNames()
+	if len(srv.units) != len(names) {
+		t.Fatalf("index holds %d units, want %d", len(srv.units), len(names))
+	}
+	for _, name := range names {
+		key, ok := srv.units[name]
+		if !ok {
+			t.Errorf("unit %q missing from the index", name)
+			continue
+		}
+		if want := experiments.UnitRenderKey(tinyOpt(), name); key != want {
+			t.Errorf("unit %q keyed %s, want %s", name, key.ID(), want.ID())
+		}
+	}
+}
+
 // TestJobLifecycle pins the async API: submit → poll to done with
 // per-unit timings → the computed unit is then served warm.
 func TestJobLifecycle(t *testing.T) {
