@@ -234,19 +234,6 @@ func BenchmarkSection55StackImpact(b *testing.B) {
 	b.ReportMetric(r.OtherAvgL1I, "jvm-L1I(paper:12.6)")
 }
 
-// BenchmarkAblationLoopPredictor quantifies the loop predictor's
-// contribution to the Table 4 gap: the 17 representatives on the Xeon
-// model with and without the loop component.
-func BenchmarkAblationLoopPredictor(b *testing.B) {
-	s := session()
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		with, without = experiments.AblationLoopPredictor(s)
-	}
-	b.ReportMetric(with*100, "mispredict%-with-loop")
-	b.ReportMetric(without*100, "mispredict%-without-loop")
-}
-
 // BenchmarkEngineSerial regenerates the full paper batch on one
 // worker, primers then units in definition order — the reference the
 // concurrent engine is compared against.

@@ -2,12 +2,14 @@
 // prints their micro-architectural characterization, one row per
 // workload — the per-workload view behind the paper's Figs. 1-5.
 //
-// Rows are content-keyed artifacts: with -cache-dir each (machine,
-// workload, budget) row persists, so a repeated run re-executes
-// nothing, and -shard i/n lets n processes split a set (each prints
-// only its interleaved slice) while sharing the store — across
-// machines when they share a cmd/artifactd server via -store-url. -gc
-// bounds the -cache-dir (LRU sweep) after the run.
+// Rows are printed from experiments.Session.Profiles, so each
+// (machine, workload, budget) profile is the same store artefact that
+// cmd/wcrt and cmd/repro fill: with -cache-dir a repeated run — or a
+// run after wcrt or repro at the same budget — re-executes nothing,
+// and -shard i/n lets n processes split a set (each prints only its
+// interleaved slice) while sharing the store — across machines when
+// they share a cmd/artifactd server via -store-url. -gc bounds the
+// -cache-dir (LRU sweep) after the run.
 //
 // Ids select workloads of the set by name, case-insensitively. An
 // unknown -set or -machine, or an id that matches nothing in the set,
@@ -29,21 +31,12 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/cli"
-	"repro/internal/conc"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/sim/branch"
 	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
-
-// row is one workload's printed characterization — the serializable
-// artefact bdbench caches per (machine, workload signature, budget).
-type row struct {
-	ID   string
-	V    metrics.Vector
-	FW   float64
-	MCRI string
-}
 
 func main() {
 	budget := flag.Int64("budget", 2_000_000, "instruction budget per workload")
@@ -73,61 +66,31 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	store := artifact.Default()
-	if st != nil {
-		store = st
+	if st == nil {
+		// Without a store flag, datagen keeps dataset content in the
+		// process default store; sharing it lets -mem-quota bound the
+		// datasets as well as the profiles.
+		st = artifact.Default()
 	}
-	store.SetMemQuota(quota)
+	sess := experiments.NewSession(experiments.Options{Budget: *budget})
+	sess.Parallelism = *parallel
+	sess.Store = st
+	sess.ArtifactStore().SetMemQuota(quota)
+	profiles := sess.Profiles(cfg, list, *budget)
 
 	fmt.Printf("%-18s %5s %6s %6s %6s %6s %6s %5s %6s %5s %5s %5s %5s %5s %6s %6s %6s %5s %6s %6s %6s %6s %6s\n",
 		"workload", "IPC", "L1I", "L1D", "L2", "L2I%", "L3", "brM%", "mCRI", "br%", "ld%", "st%", "int%", "fp%",
 		"ITLB", "DTLB", "codeKB", "fw%", "ILP", "MLP", "front%", "imS/KI", "mpS/KI")
-	// Each workload's row fills through the artifact store on its own
-	// machine model; the fan-out runs on a bounded worker pool and rows
-	// stay in input order.
-	type rowKey struct {
-		Machine  string
-		Workload string
-		Budget   int64
-	}
-	rows := make([]row, len(list))
-	errs := make([]error, len(list))
-	conc.ForEach(*parallel, len(list), func(i int) {
-		w := list[i]
-		key := artifact.KeyOf("bdbench-row", rowKey{cfg.Name, workloads.Signature(w), *budget})
-		rows[i], errs[i] = artifact.GetChecked(store, key,
-			func(r row) bool { return r.ID == w.ID },
-			func() (row, error) {
-				m := machine.New(cfg)
-				res := workloads.Run(w, m, *budget)
-				m.Finish()
-				v := metrics.Compute(m)
-				st := m.BP.Stats()
-				tot := float64(st.Mispredicts)
-				if tot == 0 {
-					tot = 1
-				}
-				mcri := fmt.Sprintf("%2.0f/%2.0f/%2.0f",
-					100*float64(st.MisCond)/tot, 100*float64(st.MisRet)/tot, 100*float64(st.MisInd)/tot)
-				return row{ID: w.ID, V: v, FW: res.FrameworkShare, MCRI: mcri}, nil
-			})
-	})
-	for _, err := range errs {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench:", err)
-			os.Exit(1)
-		}
-	}
-	for _, r := range rows {
-		v := r.V
+	for _, p := range profiles {
+		v := p.Vector
 		fmt.Printf("%-18s %5.2f %6.1f %6.1f %6.1f %6.0f %6.2f %5.1f %6s %5.1f %5.1f %5.1f %5.1f %5.1f %6.3f %6.3f %6.0f %5.1f %6.1f %6.1f %6.1f %6.0f %6.0f\n",
-			r.ID, v[metrics.IPC], v[metrics.L1IMPKI], v[metrics.L1DMPKI], v[metrics.L2MPKI],
+			p.Workload.ID, v[metrics.IPC], v[metrics.L1IMPKI], v[metrics.L1DMPKI], v[metrics.L2MPKI],
 			v[metrics.L2InstShare]*100, v[metrics.L3MPKI],
-			v[metrics.BrMispredictRatio]*100, r.MCRI,
+			v[metrics.BrMispredictRatio]*100, mispredictClasses(p.Branch),
 			v[metrics.MixBranch]*100, v[metrics.MixLoad]*100, v[metrics.MixStore]*100,
 			v[metrics.MixInt]*100, v[metrics.MixFP]*100,
 			v[metrics.ITLBMPKI], v[metrics.DTLBMPKI],
-			v[metrics.CodeFootprintKB], r.FW*100, v[metrics.ILP], v[metrics.MLP],
+			v[metrics.CodeFootprintKB], p.Run.FrameworkShare*100, v[metrics.ILP], v[metrics.MLP],
 			v[metrics.FrontStallRatio]*100,
 			v[metrics.IMissStallPerKI], v[metrics.MispredictStallPerKI])
 	}
@@ -139,6 +102,17 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "bdbench: gc: %s\n", res)
 	}
+}
+
+// mispredictClasses renders the mCRI column: the percentage of
+// mispredictions that were conditional, return and indirect branches.
+func mispredictClasses(st branch.Stats) string {
+	tot := float64(st.Mispredicts)
+	if tot == 0 {
+		tot = 1
+	}
+	return fmt.Sprintf("%2.0f/%2.0f/%2.0f",
+		100*float64(st.MisCond)/tot, 100*float64(st.MisRet)/tot, 100*float64(st.MisInd)/tot)
 }
 
 // selectRun resolves -set, -machine and the id arguments into the

@@ -1,8 +1,7 @@
 // Package artifact is the content-keyed artifact store behind every
 // memoized computation in this repository: dataset contents
 // (internal/datagen), 45-metric profile records and Fig. 6-9 sweep
-// curves (internal/experiments), and the per-workload rows of
-// cmd/bdbench.
+// curves (internal/experiments), and the rendered engine units.
 //
 // Every artefact in the pipeline is a deterministic function of its
 // configuration — the BDGS-style generators are seeded, the machine

@@ -44,31 +44,46 @@ type ClosureEntry struct {
 	Data []byte
 }
 
-// EncodeClosure serializes a closure response body (gob — the same
-// codec as the entries themselves). Entries keep the encoder's order;
-// servers answer in request order so responses are deterministic.
+// EncodeClosure serializes a closure response body with gob, the same
+// codec as the entries themselves: the entry count, then each entry as
+// its own value, so a decoder learns the count before it allocates.
+// Entries keep the encoder's order; servers answer in request order so
+// responses are deterministic.
 func EncodeClosure(entries []ClosureEntry) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(len(entries)); err != nil {
 		return nil, fmt.Errorf("artifact: encode closure: %w", err)
+	}
+	for _, e := range entries {
+		if err := enc.Encode(e); err != nil {
+			return nil, fmt.Errorf("artifact: encode closure: %w", err)
+		}
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodeClosure parses a closure response body, rejecting oversized
-// individual entries (each is bounded by MaxWireEntryBytes like any
-// single download).
+// DecodeClosure parses a closure response body. It rejects a count
+// above MaxClosureIDs before allocating anything for the entries, and
+// an entry above MaxWireEntryBytes as soon as it is read: decoding
+// never allocates more than a small multiple of len(b) plus
+// MaxClosureIDs entry headers.
 func DecodeClosure(b []byte) ([]ClosureEntry, error) {
-	var entries []ClosureEntry
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&entries); err != nil {
+	dec := gob.NewDecoder(bytes.NewReader(b))
+	var n int
+	if err := dec.Decode(&n); err != nil {
 		return nil, fmt.Errorf("artifact: decode closure: %w", err)
 	}
-	if len(entries) > MaxClosureIDs {
-		return nil, fmt.Errorf("artifact: closure of %d entries exceeds %d", len(entries), MaxClosureIDs)
+	if n < 0 || n > MaxClosureIDs {
+		return nil, fmt.Errorf("artifact: closure of %d entries is outside [0, %d]", n, MaxClosureIDs)
 	}
-	for _, e := range entries {
-		if len(e.Data) > MaxWireEntryBytes {
-			return nil, fmt.Errorf("artifact: closure entry %s exceeds %d bytes", e.ID, MaxWireEntryBytes)
+	entries := make([]ClosureEntry, n)
+	for i := range entries {
+		if err := dec.Decode(&entries[i]); err != nil {
+			return nil, fmt.Errorf("artifact: decode closure entry %d of %d: %w", i, n, err)
+		}
+		if len(entries[i].Data) > MaxWireEntryBytes {
+			return nil, fmt.Errorf("artifact: closure entry %s exceeds %d bytes", entries[i].ID, MaxWireEntryBytes)
 		}
 	}
 	return entries, nil

@@ -12,24 +12,24 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/conc"
 	"repro/internal/linalg"
 	"repro/internal/metrics"
+	"repro/internal/sim/branch"
 	"repro/internal/sim/machine"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
-// Profiler runs workloads on a machine model and collects their
-// characterization vectors. It parallelizes across workloads; each run
-// gets an independent machine, like WCRT's per-node profiler agents.
+// Profiler runs one workload on a fresh machine model and collects its
+// characterization vector, like one of WCRT's per-node profiler
+// agents. Lists of workloads are profiled through
+// experiments.Session.Profiles, which stores each profile and fans the
+// runs out.
 type Profiler struct {
 	// Machine is the platform configuration profiled on.
 	Machine machine.Config
 	// Budget is the instruction budget per workload run.
 	Budget int64
-	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // Profile is one workload's collected characterization.
@@ -37,6 +37,10 @@ type Profile struct {
 	Workload workloads.Workload
 	Vector   metrics.Vector
 	Run      *workloads.Result
+	// Branch is the branch predictor's final tally, whose
+	// misprediction breakdown by branch class the vector does not
+	// carry.
+	Branch branch.Stats
 }
 
 // Profile characterizes one workload on a fresh machine model. The
@@ -58,17 +62,7 @@ func (p *Profiler) ProfileCtx(ctx context.Context, w workloads.Workload) (Profil
 		return Profile{}, err
 	}
 	m.Finish()
-	return Profile{Workload: w, Vector: metrics.Compute(m), Run: res}, nil
-}
-
-// ProfileAll characterizes every workload and returns profiles in
-// input order.
-func (p *Profiler) ProfileAll(list []workloads.Workload) []Profile {
-	out := make([]Profile, len(list))
-	conc.ForEach(p.Parallelism, len(list), func(i int) {
-		out[i] = p.Profile(list[i])
-	})
-	return out
+	return Profile{Workload: w, Vector: metrics.Compute(m), Run: res, Branch: m.BP.Stats()}, nil
 }
 
 // Analyzer reduces a profiled workload set to representatives.

@@ -3,34 +3,25 @@ package core
 import (
 	"testing"
 
+	"repro/internal/conc"
 	"repro/internal/metrics"
+	"repro/internal/sim/branch"
 	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
 
 func profileSome(t *testing.T, list []workloads.Workload, budget int64) []Profile {
 	t.Helper()
-	p := &Profiler{Machine: machine.XeonE5645(), Budget: budget}
-	return p.ProfileAll(list)
+	return profileList(machine.XeonE5645(), list, budget)
 }
 
-func TestProfileAllOrderAndCompleteness(t *testing.T) {
-	list := workloads.MPI6()
-	profiles := profileSome(t, list, 50_000)
-	if len(profiles) != len(list) {
-		t.Fatalf("%d profiles for %d workloads", len(profiles), len(list))
-	}
-	for i, p := range profiles {
-		if p.Workload.ID != list[i].ID {
-			t.Fatalf("profile %d out of order: %s != %s", i, p.Workload.ID, list[i].ID)
-		}
-		if p.Vector[metrics.IPC] <= 0 {
-			t.Fatalf("%s: zero IPC", p.Workload.ID)
-		}
-		if p.Run == nil || p.Run.Insts == 0 {
-			t.Fatalf("%s: missing run summary", p.Workload.ID)
-		}
-	}
+// profileList runs one Profiler.Profile per workload on a bounded
+// worker pool and returns the profiles in input order.
+func profileList(cfg machine.Config, list []workloads.Workload, budget int64) []Profile {
+	p := &Profiler{Machine: cfg, Budget: budget}
+	out := make([]Profile, len(list))
+	conc.ForEach(0, len(list), func(i int) { out[i] = p.Profile(list[i]) })
+	return out
 }
 
 func TestProfilerDeterministic(t *testing.T) {
@@ -40,6 +31,27 @@ func TestProfilerDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].Vector != b[i].Vector {
 			t.Fatalf("%s: repeated profiling differs", a[i].Workload.ID)
+		}
+	}
+}
+
+func TestProfileRecordMatches(t *testing.T) {
+	w := workloads.MPI6()[0]
+	var v metrics.Vector
+	v[metrics.MixBranch] = 0.2
+	tally := branch.Stats{Branches: 10, Mispredicts: 3, MisCond: 2, MisRet: 1}
+	for _, c := range []struct {
+		name string
+		rec  ProfileRecord
+		want bool
+	}{
+		{"complete", ProfileRecord{ID: w.ID, Vector: v, Branch: tally}, true},
+		{"other workload", ProfileRecord{ID: "M-Other", Vector: v, Branch: tally}, false},
+		{"branches without a tally", ProfileRecord{ID: w.ID, Vector: v}, false},
+		{"no branches, no tally", ProfileRecord{ID: w.ID}, true},
+	} {
+		if got := c.rec.Matches(w); got != c.want {
+			t.Errorf("%s: Matches = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

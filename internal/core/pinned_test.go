@@ -47,8 +47,7 @@ func TestProfileVectorsPinned(t *testing.T) {
 	n := 0
 	var buf [8]byte
 	for _, r := range runs {
-		p := &Profiler{Machine: r.cfg, Budget: pinnedBudget}
-		for _, prof := range p.ProfileAll(r.list) {
+		for _, prof := range profileList(r.cfg, r.list, pinnedBudget) {
 			h.Write([]byte(r.cfg.Name + "/" + prof.Workload.ID + "\n"))
 			for _, v := range prof.Vector {
 				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))

@@ -2,17 +2,19 @@ package core
 
 import (
 	"repro/internal/metrics"
+	"repro/internal/sim/branch"
 	"repro/internal/workloads"
 )
 
 // ProfileRecord is the serializable form of a Profile: the 45-metric
-// characterization vector plus the run summary, minus the live
-// Workload (kernels hold closures no codec can round-trip). A record
-// persists in the artifact store and rebinds onto the live workload
-// it was profiled from.
+// characterization vector, the branch predictor's tally and the run
+// summary, minus the live Workload (kernels hold closures no codec can
+// round-trip). A record persists in the artifact store and rebinds
+// onto the live workload it was profiled from.
 type ProfileRecord struct {
 	ID             string
 	Vector         metrics.Vector
+	Branch         branch.Stats
 	Insts          uint64
 	InBytes        uint64
 	OutBytes       uint64
@@ -27,6 +29,7 @@ func Record(p Profile) ProfileRecord {
 	return ProfileRecord{
 		ID:             p.Workload.ID,
 		Vector:         p.Vector,
+		Branch:         p.Branch,
 		Insts:          p.Run.Insts,
 		InBytes:        p.Run.InBytes,
 		OutBytes:       p.Run.OutBytes,
@@ -38,8 +41,16 @@ func Record(p Profile) ProfileRecord {
 }
 
 // Matches reports whether the record was profiled from w — the
-// staleness check a store-loaded record must pass before rebinding.
-func (r ProfileRecord) Matches(w workloads.Workload) bool { return r.ID == w.ID }
+// staleness check a store-loaded record must pass before rebinding. A
+// record whose vector counts branches but whose Branch tally is empty
+// was written before records carried the tally; it is rejected so the
+// store recomputes it instead of rebinding zero counts.
+func (r ProfileRecord) Matches(w workloads.Workload) bool {
+	if r.Vector[metrics.MixBranch] > 0 && r.Branch.Branches == 0 {
+		return false
+	}
+	return r.ID == w.ID
+}
 
 // Rebind reconstitutes the Profile for the live workload w. The
 // result is identical to the Profile the original run produced.
@@ -47,6 +58,7 @@ func (r ProfileRecord) Rebind(w workloads.Workload) Profile {
 	return Profile{
 		Workload: w,
 		Vector:   r.Vector,
+		Branch:   r.Branch,
 		Run: &workloads.Result{
 			Workload:       w,
 			Insts:          r.Insts,

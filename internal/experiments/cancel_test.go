@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/sim/machine"
 )
 
 // TestRunContextPreCancelled pins the cheap path: a context cancelled
@@ -101,11 +102,11 @@ func TestCancelledFillNotPoisoned(t *testing.T) {
 	s1.Ctx = ctx
 	err := func() (err error) {
 		defer RecoverCanceled(&err)
-		s1.SweepCurves(w, s1.Opt.SweepBudget)
+		s1.SweepCurvesMulti(w, s1.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0)
 		return nil
 	}()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled SweepCurves err = %v, want context.Canceled", err)
+		t.Fatalf("cancelled SweepCurvesMulti err = %v, want context.Canceled", err)
 	}
 	if s1.TracePasses() != 0 {
 		t.Fatal("cancelled sweep counted a trace pass")
@@ -113,7 +114,7 @@ func TestCancelledFillNotPoisoned(t *testing.T) {
 
 	s2 := NewSession(tinyOptions())
 	s2.Store = store
-	curves := s2.SweepCurves(w, s2.Opt.SweepBudget)
+	curves := s2.SweepCurvesMulti(w, s2.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0)[0]
 	if len(curves.Inst) == 0 {
 		t.Fatal("retry after cancellation produced no curves")
 	}

@@ -38,7 +38,7 @@ func TestSweepEnginesByteIdentical(t *testing.T) {
 	}
 	s := NewSession(opt)
 	for _, c := range cases {
-		got := s.SweepCurvesSpec(w, opt.SweepBudget, c.sizes, c.ways, c.line)
+		got := s.SweepCurvesMulti(w, opt.SweepBudget, c.sizes, []int{c.ways}, c.line)[0]
 		want := oracleCurves(t, w, opt.SweepBudget, c.sizes, c.ways, c.line)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("ways=%d line=%d: session diverges from the cache oracle\nsession %+v\noracle  %+v", c.ways, c.line, got, want)
@@ -69,8 +69,8 @@ func TestSweepCurvesMultiOnePass(t *testing.T) {
 		if want := oracleCurves(t, w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(multi[i], want) {
 			t.Errorf("ways=%d: multi curves diverge from the cache oracle", ways)
 		}
-		// Same keys: the single-geometry accessor must hit warm.
-		if got := s.SweepCurvesSpec(w, opt.SweepBudget, sizes, ways, 0); !reflect.DeepEqual(got, multi[i]) {
+		// Same keys: a single-geometry request must hit warm.
+		if got := s.SweepCurvesMulti(w, opt.SweepBudget, sizes, []int{ways}, 0)[0]; !reflect.DeepEqual(got, multi[i]) {
 			t.Errorf("ways=%d: single-geometry readback differs", ways)
 		}
 	}

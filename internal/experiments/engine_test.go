@@ -294,7 +294,7 @@ func TestSessionConcurrentAccess(t *testing.T) {
 			}
 			_ = s.BigDataAverage()
 			for _, w := range sweepList {
-				c := s.SweepCurves(w, s.Opt.SweepBudget)
+				c := s.SweepCurvesMulti(w, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0)[0]
 				if len(c.Inst) == 0 || len(c.Data) == 0 || len(c.Unified) == 0 {
 					t.Errorf("empty sweep curves for %s", w.ID)
 				}

@@ -4,13 +4,10 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/machineutil"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/sim/branch"
-	"repro/internal/sim/machine"
 	"repro/internal/suites"
 	"repro/internal/workloads"
 )
@@ -230,35 +227,6 @@ func Fig5(s *Session) FigSeriesResult {
 	return valueFigure(s, "Figure 5: TLB behaviour (MPKI)",
 		[]string{"ITLB", "DTLB"},
 		[]int{metrics.ITLBMPKI, metrics.DTLBMPKI})
-}
-
-// AblationLoopPredictor measures the 17 representatives' average
-// branch misprediction ratio on the Xeon model with and without the
-// loop-counter component of the hybrid predictor (the mechanism the
-// paper's Table 4 credits for part of the E5645's advantage).
-func AblationLoopPredictor(s *Session) (withLoop, withoutLoop float64) {
-	reps := s.Reps()
-	for _, p := range reps {
-		withLoop += p.Vector[metrics.BrMispredictRatio]
-	}
-	withLoop /= float64(len(reps))
-
-	cfg := machine.XeonE5645()
-	list := workloads.Representative17()
-	ratios := make([]float64, len(list))
-	conc.ForEach(s.Parallelism, len(list), func(i int) {
-		m := machine.New(cfg)
-		m.SetPredictor(branch.NewHybridOpt(false))
-		workloads.Run(list[i], m, s.Opt.Budget)
-		m.Finish()
-		v := metrics.Compute(m)
-		ratios[i] = v[metrics.BrMispredictRatio]
-	})
-	for _, r := range ratios {
-		withoutLoop += r
-	}
-	withoutLoop /= float64(len(list))
-	return withLoop, withoutLoop
 }
 
 // StackImpactResult reproduces §5.5: the same algorithms under MPI,

@@ -65,11 +65,12 @@ type Session struct {
 	// first use; the serving daemon gives every request its own session
 	// (sharing one Store) so each request cancels independently.
 	//
-	// Cancellation unwinds session accessors (Reps, SweepCurves, ...)
-	// as a panic carrying ctx.Err(), because their signatures have no
-	// error result; Engine.RunContext and RunScenario recover it at
-	// the unit boundary. Callers driving a cancellable session by hand
-	// must recover the same way (see RecoverCanceled).
+	// Cancellation unwinds session accessors (Reps, Profiles,
+	// SweepCurvesMulti, ...) as a panic carrying ctx.Err(), because
+	// their signatures have no error result; Engine.RunContext and
+	// RunScenario recover it at the unit boundary. Callers driving a
+	// cancellable session by hand must recover the same way (see
+	// RecoverCanceled).
 	Ctx context.Context
 
 	// Parallelism bounds the worker pool of every profiling and sweep
@@ -266,10 +267,11 @@ func (s *Session) AtomReps() []core.Profile { return s.profileSet(atomSet) }
 // and future experiments share one profiling pass.
 func (s *Session) Roster() []core.Profile { return s.profileSet(rosterSet) }
 
-// Profiles characterizes an ad-hoc workload list on cfg at an explicit
-// budget through the same per-workload store artefacts (cmd/wcrt's
-// shard mode warms the store with slices of a roster this way). The
-// artefacts are shared wherever machine and budget match: pass the
+// Profiles characterizes a workload list on cfg at an explicit budget
+// and returns the profiles in input order; it is the only way a list
+// of workloads is profiled. Each workload is one store artefact filled
+// by core.Profiler.ProfileCtx under the session's context, on at most
+// Parallelism workers. The artefacts are shared wherever machine and budget match: pass the
 // budget the eventual merged read will use — Opt.RosterBudget when
 // warming Roster(), Opt.Budget when warming Reps().
 func (s *Session) Profiles(cfg machine.Config, list []workloads.Workload, budget int64) []core.Profile {
@@ -356,25 +358,6 @@ func sweepKeyFor(w workloads.Workload, budget int64, sizes []int, ways, lineByte
 	})
 }
 
-// SweepCurves returns the memoized Fig. 6-9 cache-sweep curves for one
-// workload at the given budget, tracing the workload at most once per
-// store (and, with a disk store, at most once ever). Concurrent
-// callers for the same workload block on that key's singleflight while
-// callers for other workloads proceed in parallel.
-func (s *Session) SweepCurves(w workloads.Workload, budget int64) machine.Curves {
-	return s.SweepCurvesSpec(w, budget, machine.DefaultSweepSizesKB, 0, 0)
-}
-
-// SweepCurvesSpec is SweepCurves with the swept sizes and cache
-// geometry chosen by the caller — the primitive behind scenario
-// requests. ways and lineBytes of 0 select the paper defaults, and the
-// default-geometry artefacts are exactly SweepCurves' (one trace pass
-// serves both). Invalid geometries panic; the scenario canonicalizer
-// validates before any session work.
-func (s *Session) SweepCurvesSpec(w workloads.Workload, budget int64, sizes []int, ways, lineBytes int) machine.Curves {
-	return s.SweepCurvesMulti(w, budget, sizes, []int{ways}, lineBytes)[0]
-}
-
 // sweepCheck validates a stored curve set against the requested sizes
 // (the artifact layer's identity-corruption guard).
 func sweepCheck(sizes []int) func(machine.Curves) bool {
@@ -384,14 +367,19 @@ func sweepCheck(sizes []int) func(machine.Curves) bool {
 	}
 }
 
-// SweepCurvesMulti fills the sweep curves of several associativities
-// (sharing sizes and line size) in one call, returning one Curves per
-// entry of waysList. Every still-cold geometry is computed by a single
-// shared stack-distance trace pass — the multi-geometry cost model:
-// one pass per workload no matter how many associativities the request
-// sweeps. Each geometry's artefact lives under exactly the key
-// SweepCurvesSpec would use, so single- and multi-geometry requests
-// share artefacts freely.
+// SweepCurvesMulti fills one workload's cache-sweep curves at several
+// associativities (sharing sizes and line size) in one call, returning
+// one Curves per entry of waysList; it is the only way sweep curves
+// are filled. ways and lineBytes of 0 select the paper defaults: the
+// Fig. 6-9 curves are SweepCurvesMulti(w, budget,
+// machine.DefaultSweepSizesKB, []int{0}, 0)[0]. Every still-cold
+// geometry is computed by a single shared stack-distance trace pass —
+// the multi-geometry cost model: one pass per workload no matter how
+// many associativities the request sweeps. Each geometry's artefact
+// lives under its own key, so single- and multi-geometry requests
+// share artefacts freely; concurrent callers for one key block on its
+// singleflight. Invalid geometries panic; the scenario canonicalizer
+// validates before any session work.
 func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int) []machine.Curves {
 	if len(waysList) == 0 {
 		panic("experiments: SweepCurvesMulti with no geometries")

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/metrics"
+	"repro/internal/sim/branch"
 	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
@@ -338,12 +341,12 @@ func TestSessionsShareStore(t *testing.T) {
 	s1 := NewSession(tinyOptions())
 	s1.Store = shared
 	reps := s1.Reps()
-	c1 := s1.SweepCurves(workloads.MPI6()[0], s1.Opt.SweepBudget)
+	c1 := s1.SweepCurvesMulti(workloads.MPI6()[0], s1.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0)[0]
 
 	s2 := NewSession(tinyOptions())
 	s2.Store = shared
 	reps2 := s2.Reps()
-	c2 := s2.SweepCurves(workloads.MPI6()[0], s2.Opt.SweepBudget)
+	c2 := s2.SweepCurvesMulti(workloads.MPI6()[0], s2.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0)[0]
 	if s2.ProfileRuns() != 0 || s2.TracePasses() != 0 {
 		t.Fatalf("second session recomputed: %d profile runs, %d trace passes",
 			s2.ProfileRuns(), s2.TracePasses())
@@ -357,6 +360,87 @@ func TestSessionsShareStore(t *testing.T) {
 		if c1.Inst[i] != c2.Inst[i] {
 			t.Fatal("shared-store sessions disagree on sweep curves")
 		}
+	}
+
+	// cmd/bdbench reads the representatives as an ad-hoc list at the
+	// session budget: the same artefacts Reps() filled.
+	s3 := NewSession(tinyOptions())
+	s3.Store = shared
+	s3.Profiles(machine.XeonE5645(), workloads.Representative17(), s3.Opt.Budget)
+	if s3.ProfileRuns() != 0 {
+		t.Fatalf("ad-hoc read of the representatives after Reps() ran %d profiles, want 0", s3.ProfileRuns())
+	}
+}
+
+// TestProfilesOrderAndCompleteness pins Session.Profiles, the one path
+// every workload list is profiled through: one profiling run and one
+// profile per workload, in input order, each with a vector, a run
+// summary and a branch tally whose class breakdown adds up.
+func TestProfilesOrderAndCompleteness(t *testing.T) {
+	list := workloads.MPI6()
+	s := NewSession(tinyOptions())
+	profiles := s.Profiles(machine.XeonE5645(), list, 50_000)
+	if len(profiles) != len(list) || s.ProfileRuns() != int64(len(list)) {
+		t.Fatalf("%d profiles from %d runs for %d workloads", len(profiles), s.ProfileRuns(), len(list))
+	}
+	for i, p := range profiles {
+		if p.Workload.ID != list[i].ID {
+			t.Fatalf("profile %d out of order: %s != %s", i, p.Workload.ID, list[i].ID)
+		}
+		if p.Vector[metrics.IPC] <= 0 {
+			t.Fatalf("%s: zero IPC", p.Workload.ID)
+		}
+		if p.Run == nil || p.Run.Insts == 0 {
+			t.Fatalf("%s: missing run summary", p.Workload.ID)
+		}
+		b := p.Branch
+		if b.Branches == 0 || b.Mispredicts != b.MisCond+b.MisRet+b.MisInd {
+			t.Fatalf("%s: branch tally %+v: no branches, or classes do not sum to the mispredictions", p.Workload.ID, b)
+		}
+	}
+}
+
+// TestProfileRecordWithoutBranchTallyRecomputed pins the staleness
+// guard on persisted profiles: a record written before records carried
+// the branch tally decodes with Branch zeroed. A fresh session must
+// discard it and profile again, never rebind zero misprediction
+// classes, and persist the recomputed record in its place.
+func TestProfileRecordWithoutBranchTallyRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	cfg, w, budget := machine.XeonE5645(), workloads.MPI6()[0], tinyOptions().Budget
+	stale := core.Record((&core.Profiler{Machine: cfg, Budget: budget}).Profile(w))
+	stale.Branch = branch.Stats{}
+	old, err := artifact.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := artifact.Get(old, profileKeyFor(cfg, w, budget), func() (core.ProfileRecord, error) { return stale, nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	read := func() (core.Profile, *Session, artifact.Stats) {
+		st, err := artifact.NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(tinyOptions())
+		s.Store = st
+		p := s.Profiles(cfg, []workloads.Workload{w}, budget)[0]
+		return p, s, st.Stats()
+	}
+	p, s, stats := read()
+	if stats.BackendDiscards != 1 || s.ProfileRuns() != 1 {
+		t.Fatalf("stale record: %d backend discards, %d profile runs; want 1 and 1", stats.BackendDiscards, s.ProfileRuns())
+	}
+	if b := p.Branch; b.Branches == 0 || b.MisCond+b.MisRet+b.MisInd == 0 {
+		t.Fatalf("recomputed profile has branch tally %+v, want non-zero class counts", b)
+	}
+	if p.Vector != stale.Vector {
+		t.Fatal("recomputed vector differs from the stale record's")
+	}
+	p2, s2, stats2 := read()
+	if stats2.BackendDiscards != 0 || s2.ProfileRuns() != 0 || p2.Branch != p.Branch {
+		t.Fatalf("re-read: %d discards, %d runs, tally %+v; want the recomputed record warm", stats2.BackendDiscards, s2.ProfileRuns(), p2.Branch)
 	}
 }
 

@@ -28,10 +28,9 @@ func curveData(c machine.Curves) []float64    { return c.Data }
 func curveUnified(c machine.Curves) []float64 { return c.Unified }
 
 // sweepGroup averages one view of the group's miss-ratio curves at the
-// paper's default geometry. Each workload's trace is pulled from the
-// session's memoized sweep cache (generated at most once per session,
-// all three views from a single pass) and cache fills run through a
-// bounded worker pool, mirroring core.Profiler.ProfileAll.
+// paper's default geometry. Each workload's curves come from
+// SweepCurvesMulti (traced at most once per store, all three views
+// from a single pass), filled through a bounded worker pool.
 func sweepGroup(s *Session, list []workloads.Workload, view func(machine.Curves) []float64) []float64 {
 	return sweepGroupMulti(s, list, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0, view)[0]
 }

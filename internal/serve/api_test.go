@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +181,53 @@ func TestJobsPagination(t *testing.T) {
 	if code != http.StatusOK || json.Unmarshal(b, &st) != nil || len(st.Results) == 0 {
 		t.Fatalf("job detail: %d: %s", code, b)
 	}
+}
+
+// FuzzJobsEventsQuery sends arbitrary ?state=, ?limit= and ?cursor=
+// values to GET /v1/jobs and an arbitrary ?topics= filter to GET
+// /v1/events (its request context already cancelled, so the stream
+// ends at once) through the server's handler. Every answer must be a
+// 200 or a 400 invalid_query envelope, never a panic or a 5xx, and a
+// job page never holds more summaries than its limit.
+func FuzzJobsEventsQuery(f *testing.F) {
+	srv, err := New(Config{Opt: tinyOpt()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedJobs(srv, 5)
+	h := srv.Handler()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	serve := func(t *testing.T, ctx context.Context, target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+		if rec.Code == http.StatusBadRequest {
+			var env errEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "invalid_query" {
+				t.Fatalf("GET %s: 400 body %q is not an invalid_query envelope", target, rec.Body.Bytes())
+			}
+		} else if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", target, rec.Code, rec.Body.Bytes())
+		}
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, state, limit, cursor, topics string) {
+		q := url.Values{"state": {state}, "limit": {limit}, "cursor": {cursor}}
+		if rec := serve(t, context.Background(), "/v1/jobs?"+q.Encode()); rec.Code == http.StatusOK {
+			var page JobPage
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+				t.Fatalf("jobs page %q: %v", rec.Body.Bytes(), err)
+			}
+			want := 100
+			if limit != "" {
+				want, _ = strconv.Atoi(limit) // accepted, so it parses
+			}
+			if len(page.Jobs) > want {
+				t.Fatalf("limit %q returned %d summaries", limit, len(page.Jobs))
+			}
+		}
+		serve(t, cancelled, "/v1/events?"+url.Values{"topics": {topics}}.Encode())
+	})
 }
 
 // TestJobResultsRecoveredPastCap pins the eviction-survival contract

@@ -10,9 +10,9 @@
 //     and a 12-cycle penalty (the paper reports 11-13).
 //
 // The paper measures 7.8% average misprediction on the Atom and 2.8%
-// on the Xeon for the representative big data workloads; the ablation
-// bench (BenchmarkAblationLoopPredictor) shows how much of that gap
-// the loop counter and history length each contribute.
+// on the Xeon for the representative big data workloads. NewHybridOpt
+// builds the Xeon organization without its loop counter, to compare
+// the two on the same branch stream.
 package branch
 
 import "repro/internal/sim/isa"

@@ -110,10 +110,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// SetPredictor swaps the branch predictor (used by the Table 4
-// experiment to run the same stream against both organizations).
-func (m *Machine) SetPredictor(p branch.Predictor) { m.BP = p }
-
 // Inst implements trace.Probe: InstBlock over a block of one.
 func (m *Machine) Inst(i *isa.Inst) { m.InstBlock([]isa.Inst{*i}) }
 

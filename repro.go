@@ -77,17 +77,14 @@ func Roster77() []Workload { return workloads.Roster77() }
 // Run executes one workload on a fresh machine and returns its
 // characterization vector.
 func Run(w Workload, cfg MachineConfig, budget int64) Vector {
-	m := machine.New(cfg)
-	workloads.Run(w, m, budget)
-	m.Finish()
-	return metrics.Compute(m)
+	p := &core.Profiler{Machine: cfg, Budget: budget}
+	return p.Profile(w).Vector
 }
 
 // Characterize profiles a workload list in parallel on the given
-// platform (the WCRT profiler).
+// platform (the WCRT profiler), returning the profiles in input order.
 func Characterize(list []Workload, cfg MachineConfig, budget int64) []Profile {
-	p := &core.Profiler{Machine: cfg, Budget: budget}
-	return p.ProfileAll(list)
+	return experiments.NewSession(experiments.Options{Budget: budget}).Profiles(cfg, list, budget)
 }
 
 // Reduce runs the WCRT analyzer over profiles: Gaussian normalization,
