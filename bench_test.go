@@ -354,6 +354,30 @@ func BenchmarkSweepStackDist(b *testing.B) {
 	b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkSweepViews prices view selection: ONE cold default-geometry
+// pass pricing the instruction view alone, as a scenario that leaves
+// its views at the default does, against all three, as the paper
+// figures do. The inst pass decodes and replays only the instruction
+// stream; benchguard holds it at <= 0.7 of the all-view pass.
+func BenchmarkSweepViews(b *testing.B) {
+	w := Representative17()[14] // H-WordCount
+	for _, c := range []struct {
+		name  string
+		views machine.Views
+	}{{"inst", machine.ViewInst}, {"all", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sw, err := machine.NewStackSweepViews(c.views, 0, machine.SweepGeometry{SizesKB: machine.DefaultSweepSizesKB})
+				if err != nil {
+					b.Fatal(err)
+				}
+				workloads.Run(w, sw, sweepPassBudget)
+			}
+			b.ReportMetric(sweepPassBudget*float64(b.N)/b.Elapsed().Seconds(), "insts/s")
+		})
+	}
+}
+
 // multiGeoms are the default size ladder at the default associativity,
 // then ways 1, 2, 16, 4 and 32: any prefix is a multi-geometry pass,
 // and all six are ways 1–32.

@@ -29,7 +29,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/artifact"
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -65,12 +64,6 @@ func main() {
 	st, quota, sweep, err := storeFlags.Open()
 	if err != nil {
 		usage(err)
-	}
-	if st == nil {
-		// Without a store flag, datagen keeps dataset content in the
-		// process default store; sharing it lets -mem-quota bound the
-		// datasets as well as the profiles.
-		st = artifact.Default()
 	}
 	sess := experiments.NewSession(experiments.Options{Budget: *budget})
 	sess.Parallelism = *parallel

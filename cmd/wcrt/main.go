@@ -86,7 +86,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if st == nil {
+		if st.Backend() == nil {
 			fatal(fmt.Errorf("-shard requires -cache-dir or -store-url: a shard's profiles must persist for the merge run to find them"))
 		}
 		slice := workloads.ShardSlice(list, i, n)

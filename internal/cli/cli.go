@@ -33,11 +33,13 @@ func RegisterStore(fs *flag.FlagSet) *StoreFlags {
 }
 
 // Open validates all five flags and builds what they ask for: the
-// persistent store (nil unless -cache-dir or -store-url is set; when
-// set, dataset content caches through it too), the -mem-quota bound
-// (zero when unset) and the -gc sweep of the cache dir (nil when
-// unset). The caller installs the quota on the store it computes
-// through and runs the sweep when its command says.
+// store to compute through, which is always the one dataset content
+// caches in (with -cache-dir or -store-url a persistent store, which
+// datagen is pointed at; without them datagen's current store), the
+// -mem-quota bound (zero when unset) and the -gc sweep of the cache dir
+// (nil when unset). The caller installs the quota on the returned
+// store, so it bounds the datasets too, and runs the sweep when its
+// command says.
 func (f *StoreFlags) Open() (*artifact.Store, artifact.MemQuota, func() (artifact.GCResult, error), error) {
 	sweep, err := artifact.GCSweeper(f.cacheDir, f.gc)
 	if err != nil {
@@ -50,7 +52,7 @@ func (f *StoreFlags) Open() (*artifact.Store, artifact.MemQuota, func() (artifac
 		}
 	}
 	if f.cacheDir == "" && f.storeURL == "" {
-		return nil, quota, sweep, nil
+		return datagen.Store(), quota, sweep, nil
 	}
 	st, err := httpstore.OpenStore(f.cacheDir, f.storeURL, f.storeToken)
 	if err != nil {

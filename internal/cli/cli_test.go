@@ -31,11 +31,30 @@ func TestOpenNoFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != nil || quota.Enabled() || sweep != nil {
-		t.Fatalf("no flags gave store %v, quota %v, sweep set %v; want nil, zero, nil", st, quota, sweep != nil)
+	if st != sentinel || quota.Enabled() || sweep != nil {
+		t.Fatalf("no flags gave store %p, quota %v, sweep set %v; want datagen's store %p, zero, nil", st, quota, sweep != nil, sentinel)
 	}
 	if cur := datagen.SetStore(orig); cur != sentinel {
 		t.Fatal("Open without a store flag replaced datagen's store")
+	}
+}
+
+// TestOpenMemQuotaOnly pins that -mem-quota bounds the datasets too:
+// without -cache-dir or -store-url, the store Open returns, which the
+// commands install the quota on, is the one dataset content fills.
+func TestOpenMemQuotaOnly(t *testing.T) {
+	orig := datagen.SetStore(nil)
+	defer datagen.SetStore(orig)
+
+	st, quota, _, err := openArgs(t, "-mem-quota", "64MB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quota.MaxBytes != 64<<20 {
+		t.Fatalf("quota MaxBytes = %d, want %d", quota.MaxBytes, 64<<20)
+	}
+	if st != datagen.Store() {
+		t.Fatalf("-mem-quota alone gave store %p; datagen fills %p", st, datagen.Store())
 	}
 }
 

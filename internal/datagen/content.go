@@ -37,7 +37,9 @@ func SetStore(s *artifact.Store) *artifact.Store {
 	return prev
 }
 
-func activeStore() *artifact.Store {
+// Store returns the store dataset content caches in: the one SetStore
+// installed, or the process-global default.
+func Store() *artifact.Store {
 	storeMu.Lock()
 	defer storeMu.Unlock()
 	if storeOverr != nil {
@@ -56,7 +58,7 @@ func Generations() int64 { return generations.Load() }
 // Generators are deterministic and total, so errors (codec misuse,
 // kind collisions) are programming errors and panic.
 func fillContent[T any](kind string, cfg any, gen func() T) T {
-	v, err := artifact.Get(activeStore(), artifact.KeyOf(kind, cfg), func() (T, error) {
+	v, err := artifact.Get(Store(), artifact.KeyOf(kind, cfg), func() (T, error) {
 		generations.Add(1)
 		return gen(), nil
 	})
@@ -266,7 +268,7 @@ func sharedZipf(n int, s float64) *xrand.Zipf {
 		N int
 		S float64
 	}
-	z, err := artifact.GetMem(activeStore(), artifact.KeyOf("datagen-zipf", key{n, s}),
+	z, err := artifact.GetMem(Store(), artifact.KeyOf("datagen-zipf", key{n, s}),
 		func() (*xrand.Zipf, error) { return xrand.NewZipf(n, s), nil })
 	if err != nil {
 		panic("datagen: " + err.Error())

@@ -393,7 +393,7 @@ func Units() []Unit {
 	sweeps := func(name string, group func() []workloads.Workload) Unit {
 		keys := func(opt Options) []artifact.Key { return sweepGroupKeys(group(), opt) }
 		return Unit{Name: name, Hidden: true, keys: keys, Run: func(s *Session) (Artifact, error) {
-			sweepGroup(s, group(), curveInst)
+			sweepGroup(s, group())
 			return nil, nil
 		}}
 	}

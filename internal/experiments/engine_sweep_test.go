@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sim/machine"
@@ -76,6 +77,39 @@ func TestSweepCurvesMultiOnePass(t *testing.T) {
 	}
 	if got := s.TracePasses(); got != 1 {
 		t.Fatalf("warm readbacks re-traced: %d passes", got)
+	}
+}
+
+// TestSweepCurvesConcurrentOrders fills the same cold keys from
+// concurrent callers listing the associativities in opposite orders
+// (ways 8 is the default, 0): they must not deadlock on each other's
+// flights, must agree, and must share one trace pass.
+func TestSweepCurvesConcurrentOrders(t *testing.T) {
+	opt := tinyOptions()
+	w := workloads.MPI6()[0]
+	sizes := []int{16, 64}
+	orders := [2][]int{{0, 4}, {4, 8}}
+	s := NewSession(opt)
+	got := make([][]machine.Curves, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = s.SweepCurvesMulti(w, opt.SweepBudget, sizes, orders[i%2], 0)
+		}(i)
+	}
+	wg.Wait()
+	for i := 2; i < len(got); i++ {
+		if !reflect.DeepEqual(got[i], got[i%2]) {
+			t.Errorf("caller %d disagrees with caller %d", i, i%2)
+		}
+	}
+	if !reflect.DeepEqual(got[0][0], got[1][1]) || !reflect.DeepEqual(got[0][1], got[1][0]) {
+		t.Error("the two orders disagree")
+	}
+	if n := s.TracePasses(); n != 1 {
+		t.Errorf("%d trace passes, want 1", n)
 	}
 }
 

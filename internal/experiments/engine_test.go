@@ -56,6 +56,12 @@ func TestSweepSingleTracePass(t *testing.T) {
 	}
 }
 
+// Accessors selecting one view of a workload's curves, independent of
+// the production view table so a mis-mapped view cannot hide.
+func curveInst(c machine.Curves) []float64    { return c.Inst }
+func curveData(c machine.Curves) []float64    { return c.Data }
+func curveUnified(c machine.Curves) []float64 { return c.Unified }
+
 // oracleGroup averages one view of the group's curves from per-workload
 // concrete-cache oracle passes at the paper's geometry, in input order
 // as sweepGroup averages. Passes are memoized in oracle by workload ID.

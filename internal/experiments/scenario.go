@@ -122,16 +122,6 @@ var scenarioIDs = sync.OnceValue(func() map[string]struct{} {
 	return ids
 })
 
-// scenarioViews is the canonical view order.
-var scenarioViews = []struct {
-	name string
-	view func(machine.Curves) []float64
-}{
-	{"inst", curveInst},
-	{"data", curveData},
-	{"unified", curveUnified},
-}
-
 // Canonical validates the scenario against opt (the serving session's
 // budgets supply the defaults) and returns its canonical form: groups
 // and workloads sorted and deduplicated, the budget resolved to an
@@ -246,18 +236,12 @@ func (sc Scenario) Canonical(opt Options) (Scenario, error) {
 		want := map[string]bool{}
 		for _, v := range sc.Views {
 			v = strings.ToLower(strings.TrimSpace(v))
-			known := false
-			for _, sv := range scenarioViews {
-				if sv.name == v {
-					known = true
-				}
-			}
-			if !known {
+			if viewIndex(v) < 0 {
 				return Scenario{}, fmt.Errorf("experiments: unknown scenario view %q (want inst, data or unified)", v)
 			}
 			want[v] = true
 		}
-		for _, sv := range scenarioViews {
+		for _, sv := range sweepViews {
 			if want[sv.name] {
 				out.Views = append(out.Views, sv.name)
 			}
@@ -317,22 +301,21 @@ func (sc Scenario) run(s *Session) ([]SweepResult, error) {
 		sets = append(sets, curveSet{name: "selection", list: list})
 	}
 
-	// Every geometry of every set fills through SweepCurvesMulti, so a
-	// multi-associativity scenario costs one trace pass per workload —
-	// later views and geometries read the per-workload artefacts warm.
+	// Every view and geometry of every set fills in one call per set,
+	// so the scenario costs one trace pass per cold workload however
+	// many views and associativities it renders.
+	var views machine.Views
+	for _, vname := range sc.Views {
+		views |= sweepViews[viewIndex(vname)].bit
+	}
 	waysAll := sc.waysList()
+	perSet := make(map[string][]machine.Curves, len(sets))
+	for _, cs := range sets {
+		perSet[cs.name] = sweepGroupMulti(s, cs.list, sc.Budget, sc.SizesKB, waysAll, sc.LineBytes, views)
+	}
 	var out []SweepResult
 	for _, vname := range sc.Views {
-		var view func(machine.Curves) []float64
-		for _, sv := range scenarioViews {
-			if sv.name == vname {
-				view = sv.view
-			}
-		}
-		perSet := make(map[string][][]float64, len(sets))
-		for _, cs := range sets {
-			perSet[cs.name] = sweepGroupMulti(s, cs.list, sc.Budget, sc.SizesKB, waysAll, sc.LineBytes, view)
-		}
+		sv := sweepViews[viewIndex(vname)]
 		for gi, ways := range waysAll {
 			r := SweepResult{
 				Title:   sc.title(vname, ways),
@@ -341,12 +324,22 @@ func (sc Scenario) run(s *Session) ([]SweepResult, error) {
 			}
 			for _, cs := range sets {
 				r.Order = append(r.Order, cs.name)
-				r.Curves[cs.name] = perSet[cs.name][gi]
+				r.Curves[cs.name] = *sv.curve(&perSet[cs.name][gi])
 			}
 			out = append(out, r)
 		}
 	}
 	return out, nil
+}
+
+// viewIndex returns the index of the named view in sweepViews, or -1.
+func viewIndex(name string) int {
+	for i, sv := range sweepViews {
+		if sv.name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // RunScenario resolves, computes and renders a scenario over the

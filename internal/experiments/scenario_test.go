@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/sim/machine"
 )
 
 // TestScenarioCanonicalEquivalence pins the keying contract: specs
@@ -138,6 +140,54 @@ func TestScenarioMatchesPaperFigure(t *testing.T) {
 	if !strings.Contains(string(out), "hadoop-workloads") || !strings.Contains(string(out), "knee(") {
 		t.Fatalf("scenario rendering missing expected content:\n%s", out)
 	}
+}
+
+// TestScenarioPricesOnlyItsViews pins the per-view cost model. A
+// default-view scenario over N workloads makes N passes and stores
+// instruction curves alone; a later data-view request at the same
+// geometry makes one more pass per workload it names and stores data
+// curves alone; a three-view scenario still makes one pass per
+// workload.
+func TestScenarioPricesOnlyItsViews(t *testing.T) {
+	opt := tinyOptions()
+	ids := []string{"H-Grep", "S-Sort"}
+	catalogue := scenarioCatalogue()
+	stored := func(s *Session, id, view string) bool {
+		key := sweepKeyFor(catalogue[id], opt.SweepBudget, machine.DefaultSweepSizesKB, 0, 0, view)
+		_, ok := artifact.Peek(s.ArtifactStore(), key, func([]float64) bool { return true })
+		return ok
+	}
+	expect := func(s *Session, passes int64, views map[string][]string) {
+		t.Helper()
+		if s.TracePasses() != passes {
+			t.Errorf("%d trace passes, want %d", s.TracePasses(), passes)
+		}
+		for _, id := range ids {
+			for _, sv := range sweepViews {
+				want := slices.Contains(views[id], sv.name)
+				if got := stored(s, id, sv.name); got != want {
+					t.Errorf("%s %s curves stored %v, want %v", id, sv.name, got, want)
+				}
+			}
+		}
+	}
+
+	s := NewSession(opt)
+	if _, err := RunScenario(s, Scenario{Workloads: ids}); err != nil {
+		t.Fatal(err)
+	}
+	expect(s, 2, map[string][]string{"H-Grep": {"inst"}, "S-Sort": {"inst"}})
+	if _, err := RunScenario(s, Scenario{Workloads: ids[:1], Views: []string{"data"}}); err != nil {
+		t.Fatal(err)
+	}
+	expect(s, 3, map[string][]string{"H-Grep": {"inst", "data"}, "S-Sort": {"inst"}})
+
+	all := NewSession(opt)
+	if _, err := RunScenario(all, Scenario{Workloads: ids, Views: []string{"inst", "data", "unified"}}); err != nil {
+		t.Fatal(err)
+	}
+	every := []string{"inst", "data", "unified"}
+	expect(all, 2, map[string][]string{"H-Grep": every, "S-Sort": every})
 }
 
 // TestScenarioWarmRepeatIsPureStoreIO pins the serving fast path: the

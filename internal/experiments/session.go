@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -331,22 +333,25 @@ func suitesFlat() []workloads.Workload {
 	return flat
 }
 
-// sweepKey identifies one workload's cache-sweep curves. Ways and
-// Line are omitted from the canonical JSON when they are the modeled
-// defaults (8 ways, 64-byte lines), so the Fig. 6-9 keys are identical
-// whether the curves were filled by a paper unit or by an ad-hoc
-// scenario that left the geometry alone — the two share one artefact.
+// sweepKey identifies one view of one workload's cache-sweep curves at
+// one geometry. Ways and Line are omitted from the canonical JSON when
+// they are the modeled defaults (8 ways, 64-byte lines), so the Fig.
+// 6-9 keys are identical whether the curves were filled by a paper
+// unit or by an ad-hoc scenario that left the geometry alone — the two
+// share one artefact per view.
 type sweepKey struct {
 	Workload string
 	Budget   int64
 	SizesKB  []int
 	Ways     int `json:",omitempty"`
 	Line     int `json:",omitempty"`
+	View     string
 }
 
-// sweepKeyFor is the store key of w's curves at one geometry — the one
-// builder behind SweepCurvesMulti's fill and the engine's prefetch.
-func sweepKeyFor(w workloads.Workload, budget int64, sizes []int, ways, lineBytes int) artifact.Key {
+// sweepKeyFor is the store key of one view of w's curves at one
+// geometry — the one builder behind sweepCurves' fill and the engine's
+// prefetch.
+func sweepKeyFor(w workloads.Workload, budget int64, sizes []int, ways, lineBytes int, view string) artifact.Key {
 	if ways == machine.DefaultSweepWays {
 		ways = 0
 	}
@@ -354,64 +359,88 @@ func sweepKeyFor(w workloads.Workload, budget int64, sizes []int, ways, lineByte
 		lineBytes = 0
 	}
 	return artifact.KeyOf("sweep-curves", sweepKey{
-		Workload: workloads.Signature(w), Budget: budget, SizesKB: sizes, Ways: ways, Line: lineBytes,
+		Workload: workloads.Signature(w), Budget: budget, SizesKB: sizes, Ways: ways, Line: lineBytes, View: view,
 	})
 }
 
-// sweepCheck validates a stored curve set against the requested sizes
-// (the artifact layer's identity-corruption guard).
-func sweepCheck(sizes []int) func(machine.Curves) bool {
-	return func(c machine.Curves) bool {
-		return len(c.SizesKB) == len(sizes) && len(c.Inst) == len(sizes) &&
-			len(c.Data) == len(sizes) && len(c.Unified) == len(sizes)
-	}
+// sweepViews is the canonical view order: each view's scenario name,
+// its machine.Views bit and its curve in a machine.Curves.
+var sweepViews = []struct {
+	name  string
+	bit   machine.Views
+	curve func(*machine.Curves) *[]float64
+}{
+	{"inst", machine.ViewInst, func(c *machine.Curves) *[]float64 { return &c.Inst }},
+	{"data", machine.ViewData, func(c *machine.Curves) *[]float64 { return &c.Data }},
+	{"unified", machine.ViewUnified, func(c *machine.Curves) *[]float64 { return &c.Unified }},
 }
 
-// SweepCurvesMulti fills one workload's cache-sweep curves at several
-// associativities (sharing sizes and line size) in one call, returning
-// one Curves per entry of waysList; it is the only way sweep curves
-// are filled. ways and lineBytes of 0 select the paper defaults: the
-// Fig. 6-9 curves are SweepCurvesMulti(w, budget,
-// machine.DefaultSweepSizesKB, []int{0}, 0)[0]. Every still-cold
-// geometry is computed by a single shared stack-distance trace pass —
-// the multi-geometry cost model: one pass per workload no matter how
-// many associativities the request sweeps. Each geometry's artefact
-// lives under its own key, so single- and multi-geometry requests
-// share artefacts freely; concurrent callers for one key block on its
-// singleflight. Invalid geometries panic; the scenario canonicalizer
-// validates before any session work.
+// SweepCurvesMulti fills one workload's cache-sweep curves, all three
+// views, at several associativities (sharing sizes and line size) in
+// one call, returning one Curves per entry of waysList. ways and
+// lineBytes of 0 select the paper defaults: the Fig. 6-9 curves are
+// SweepCurvesMulti(w, budget, machine.DefaultSweepSizesKB, []int{0},
+// 0)[0]. It fills through the same path as a scenario's selected
+// views (sweepCurves), so all its still-cold (geometry, view) pairs
+// share one stack-distance trace pass. Invalid geometries panic; the
+// scenario canonicalizer validates before any session work.
 func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int) []machine.Curves {
+	return s.sweepCurves(w, budget, sizes, waysList, lineBytes, 0)
+}
+
+// sweepCurves is the only way sweep curves are filled: the selected
+// views of one workload's curves (0 selects all three) at every
+// associativity of waysList, one Curves per entry with the unselected
+// views nil. Each (geometry, view) pair is its own artefact, so
+// requests for different geometries or views share artefacts freely;
+// concurrent callers for one key block on its singleflight. Every pair
+// still cold here is priced by a single stack-distance trace pass over
+// the cold geometries and views — the cost model: one pass per
+// workload per request, however many associativities and views it
+// asks for, and none when all are warm.
+func (s *Session) sweepCurves(w workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int, views machine.Views) []machine.Curves {
 	if len(waysList) == 0 {
-		panic("experiments: SweepCurvesMulti with no geometries")
+		panic("experiments: sweep curves with no geometries")
 	}
-	check := sweepCheck(sizes)
-	keys := make([]artifact.Key, len(waysList))
-	for i, ways := range waysList {
-		keys[i] = sweepKeyFor(w, budget, sizes, ways, lineBytes)
+	check := func(c []float64) bool { return len(c) == len(sizes) }
+	type pair struct {
+		g   int
+		v   int // index into sweepViews
+		key artifact.Key
 	}
 	out := make([]machine.Curves, len(waysList))
 
-	// Peek first so the shared pass covers only the geometries still
-	// cold here, then fill each key under its own singleflight. The
-	// pass runs at most once, lazily, inside the first fill closure
-	// that actually executes — a concurrent session may win some keys'
-	// flights, and whoever computes, the curves are identical.
+	// Peek first so the shared pass covers only the pairs still cold
+	// here.
 	st := s.ArtifactStore()
-	var missing []int
-	for i := range waysList {
-		if v, ok := artifact.Peek(st, keys[i], check); ok {
-			out[i] = v
-			continue
+	var cold []pair
+	for g, ways := range waysList {
+		out[g].SizesKB = sizes
+		for v, sv := range sweepViews {
+			if !views.Has(sv.bit) {
+				continue
+			}
+			key := sweepKeyFor(w, budget, sizes, ways, lineBytes, sv.name)
+			if c, ok := artifact.Peek(st, key, check); ok {
+				*sv.curve(&out[g]) = c
+				continue
+			}
+			cold = append(cold, pair{g, v, key})
 		}
-		missing = append(missing, i)
 	}
-	var computed map[int]machine.Curves
+	var computed []machine.Curves // this call's pass, once it ran
 	runPass := func() error {
-		geoms := make([]machine.SweepGeometry, len(missing))
-		for j, i := range missing {
-			geoms[j] = machine.SweepGeometry{SizesKB: sizes, Ways: waysList[i]}
+		var sel machine.Views
+		var geoms []machine.SweepGeometry
+		at := map[int]int{} // index into waysList → the pass's geometry index
+		for _, p := range cold {
+			sel |= sweepViews[p.v].bit
+			if _, ok := at[p.g]; !ok {
+				at[p.g] = len(geoms)
+				geoms = append(geoms, machine.SweepGeometry{SizesKB: sizes, Ways: waysList[p.g]})
+			}
 		}
-		sw, err := machine.NewStackSweep(lineBytes, geoms...)
+		sw, err := machine.NewStackSweepViews(sel, lineBytes, geoms...)
 		if err != nil {
 			return err
 		}
@@ -422,21 +451,40 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 			return err // aborted: histograms truncated, discard
 		}
 		s.tracePasses.Add(1)
-		computed = make(map[int]machine.Curves, len(missing))
-		for j, i := range missing {
-			computed[i] = sw.Curves(j)
+		computed = make([]machine.Curves, len(waysList))
+		for g, j := range at {
+			computed[g] = sw.Curves(j)
 		}
 		return nil
 	}
-	for _, i := range missing {
-		i := i
-		out[i] = mustFill(artifact.GetChecked(st, keys[i], check, func() (machine.Curves, error) {
-			if computed == nil {
-				if err := runPass(); err != nil {
-					return machine.Curves{}, err
+
+	// Fill the cold keys in one order every caller shares, by key ID.
+	// The first key whose fill runs here runs the pass, then fills this
+	// call's later keys inside its own flight, so none of the pass's
+	// keys completes before that first one: a concurrent caller needing
+	// any of them waits on it and then finds them all, instead of
+	// winning a later key's flight and tracing again. A flight waits
+	// only on later keys in the shared order, so the waits cannot
+	// cycle. Whoever computes, the curves are identical.
+	slices.SortFunc(cold, func(a, b pair) int { return strings.Compare(a.key.ID(), b.key.ID()) })
+	for i, p := range cold {
+		curve := sweepViews[p.v].curve
+		if computed != nil {
+			*curve(&out[p.g]) = *curve(&computed[p.g])
+			continue
+		}
+		*curve(&out[p.g]) = mustFill(artifact.GetChecked(st, p.key, check, func() ([]float64, error) {
+			if err := runPass(); err != nil {
+				return nil, err
+			}
+			for _, q := range cold[i+1:] {
+				if q.key != p.key {
+					mustFill(artifact.GetChecked(st, q.key, check, func() ([]float64, error) {
+						return *sweepViews[q.v].curve(&computed[q.g]), nil
+					}))
 				}
 			}
-			return computed[i], nil
+			return *curve(&computed[p.g]), nil
 		}))
 	}
 	return out

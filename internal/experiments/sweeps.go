@@ -22,56 +22,60 @@ type SweepResult struct {
 	Order  []string
 }
 
-// Accessors selecting one view of a workload's memoized sweep curves.
-func curveInst(c machine.Curves) []float64    { return c.Inst }
-func curveData(c machine.Curves) []float64    { return c.Data }
-func curveUnified(c machine.Curves) []float64 { return c.Unified }
-
-// sweepGroup averages one view of the group's miss-ratio curves at the
-// paper's default geometry. Each workload's curves come from
-// SweepCurvesMulti (traced at most once per store, all three views
-// from a single pass), filled through a bounded worker pool.
-func sweepGroup(s *Session, list []workloads.Workload, view func(machine.Curves) []float64) []float64 {
-	return sweepGroupMulti(s, list, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0, view)[0]
+// sweepGroup averages the group's miss-ratio curves, all three views,
+// at the paper's default geometry. Each workload's curves are traced
+// at most once per store, all three views from a single pass, and
+// filled through a bounded worker pool.
+func sweepGroup(s *Session, list []workloads.Workload) machine.Curves {
+	return sweepGroupMulti(s, list, s.Opt.SweepBudget, machine.DefaultSweepSizesKB, []int{0}, 0, 0)[0]
 }
 
 // sweepGroupKeys lists the persisted curve keys sweepGroup fills for
-// list at opt.
+// list at opt: every view of every workload.
 func sweepGroupKeys(list []workloads.Workload, opt Options) []artifact.Key {
-	keys := make([]artifact.Key, len(list))
-	for i, w := range list {
-		keys[i] = sweepKeyFor(w, opt.SweepBudget, machine.DefaultSweepSizesKB, 0, 0)
+	var keys []artifact.Key
+	for _, w := range list {
+		for _, sv := range sweepViews {
+			keys = append(keys, sweepKeyFor(w, opt.SweepBudget, machine.DefaultSweepSizesKB, 0, 0, sv.name))
+		}
 	}
 	return keys
 }
 
-// sweepGroupMulti averages one view of the group's curves at each
-// associativity of waysList: each workload's still-cold geometries
-// fill from one shared stack-distance trace pass (SweepCurvesMulti),
-// and the result holds one averaged curve per entry of waysList. The
-// averaging accumulates in input order, so a multi-geometry request's
-// curves are bit-identical to the equivalent single-geometry requests
-// run one by one.
-func sweepGroupMulti(s *Session, list []workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int, view func(machine.Curves) []float64) [][]float64 {
+// sweepGroupMulti averages the selected views (0 selects all three) of
+// the group's curves at each associativity of waysList: each
+// workload's still-cold (geometry, view) pairs fill from one shared
+// stack-distance trace pass (sweepCurves), and the result holds one
+// averaged Curves per entry of waysList, the unselected views nil. The
+// averaging accumulates in input order, so a multi-geometry or
+// multi-view request's curves are bit-identical to the equivalent
+// single requests run one by one.
+func sweepGroupMulti(s *Session, list []workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int, views machine.Views) []machine.Curves {
 	curves := make([][]machine.Curves, len(list))
 	err := conc.ForEachCtx(s.Ctx, s.Parallelism, len(list), func(i int) {
-		curves[i] = s.SweepCurvesMulti(list[i], budget, sizes, waysList, lineBytes)
+		curves[i] = s.sweepCurves(list[i], budget, sizes, waysList, lineBytes, views)
 	})
 	if err != nil {
 		panic(canceledErr{err}) // torn curve set: unwind, never average
 	}
-	out := make([][]float64, len(waysList))
+	out := make([]machine.Curves, len(waysList))
 	for g := range waysList {
-		sum := make([]float64, len(sizes))
-		for _, c := range curves {
-			for i, v := range view(c[g]) {
-				sum[i] += v
+		out[g].SizesKB = sizes
+		for _, sv := range sweepViews {
+			if !views.Has(sv.bit) {
+				continue
 			}
+			sum := make([]float64, len(sizes))
+			for _, c := range curves {
+				for i, v := range *sv.curve(&c[g]) {
+					sum[i] += v
+				}
+			}
+			for i := range sum {
+				sum[i] /= float64(len(list))
+			}
+			*sv.curve(&out[g]) = sum
 		}
-		for i := range sum {
-			sum[i] /= float64(len(list))
-		}
-		out[g] = sum
 	}
 	return out
 }
@@ -99,8 +103,8 @@ func Fig6(s *Session) SweepResult {
 		SizesKB: machine.DefaultSweepSizesKB,
 		Order:   []string{"Hadoop-workloads", "PARSEC-workloads"},
 		Curves: map[string][]float64{
-			"Hadoop-workloads": sweepGroup(s, hadoopGroup(), curveInst),
-			"PARSEC-workloads": sweepGroup(s, parsecGroup(), curveInst),
+			"Hadoop-workloads": sweepGroup(s, hadoopGroup()).Inst,
+			"PARSEC-workloads": sweepGroup(s, parsecGroup()).Inst,
 		},
 	}
 }
@@ -113,8 +117,8 @@ func Fig7(s *Session) SweepResult {
 		SizesKB: machine.DefaultSweepSizesKB,
 		Order:   []string{"Hadoop-workloads", "PARSEC-workloads"},
 		Curves: map[string][]float64{
-			"Hadoop-workloads": sweepGroup(s, hadoopGroup(), curveData),
-			"PARSEC-workloads": sweepGroup(s, parsecGroup(), curveData),
+			"Hadoop-workloads": sweepGroup(s, hadoopGroup()).Data,
+			"PARSEC-workloads": sweepGroup(s, parsecGroup()).Data,
 		},
 	}
 }
@@ -127,8 +131,8 @@ func Fig8(s *Session) SweepResult {
 		SizesKB: machine.DefaultSweepSizesKB,
 		Order:   []string{"Hadoop-workloads", "PARSEC-workloads"},
 		Curves: map[string][]float64{
-			"Hadoop-workloads": sweepGroup(s, hadoopGroup(), curveUnified),
-			"PARSEC-workloads": sweepGroup(s, parsecGroup(), curveUnified),
+			"Hadoop-workloads": sweepGroup(s, hadoopGroup()).Unified,
+			"PARSEC-workloads": sweepGroup(s, parsecGroup()).Unified,
 		},
 	}
 }
@@ -141,9 +145,9 @@ func Fig9(s *Session) SweepResult {
 		SizesKB: machine.DefaultSweepSizesKB,
 		Order:   []string{"Hadoop-workloads", "PARSEC-workloads", "MPI-workloads"},
 		Curves: map[string][]float64{
-			"Hadoop-workloads": sweepGroup(s, hadoopGroup(), curveInst),
-			"PARSEC-workloads": sweepGroup(s, parsecGroup(), curveInst),
-			"MPI-workloads":    sweepGroup(s, workloads.MPI6(), curveInst),
+			"Hadoop-workloads": sweepGroup(s, hadoopGroup()).Inst,
+			"PARSEC-workloads": sweepGroup(s, parsecGroup()).Inst,
+			"MPI-workloads":    sweepGroup(s, workloads.MPI6()).Inst,
 		},
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -147,6 +148,51 @@ func TestUnitBytesMatchEngine(t *testing.T) {
 	if !bytes.Equal(served, want.Bytes()) {
 		t.Fatalf("served unit differs from engine rendering:\nserved %d bytes, engine %d bytes",
 			len(served), want.Len())
+	}
+}
+
+// TestScenarioDefaultViewStoresInstCurves pins what a cold scenario
+// that leaves its views at the default persists: one instruction curve
+// per workload, and no data or unified curve.
+func TestScenarioDefaultViewStoresInstCurves(t *testing.T) {
+	dir := t.TempDir()
+	st, err := artifact.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, Config{Store: st})
+	spec := `{"workloads": ["H-Grep", "S-Sort"], "sizes_kb": [16, 64, 256]}`
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold scenario: %d: %s", resp.StatusCode, body)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "sweep-curves-*.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]int{}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := artifact.DecodeEntry(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var label struct{ View string }
+		if err := json.Unmarshal([]byte(e.Label), &label); err != nil {
+			t.Fatal(err)
+		}
+		views[label.View]++
+	}
+	if len(views) != 1 || views["inst"] != 2 {
+		t.Fatalf("stored curve artefacts by view %v, want two inst curves only", views)
 	}
 }
 

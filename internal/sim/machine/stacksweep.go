@@ -27,8 +27,8 @@ type SweepGeometry struct {
 
 // MaxSweepWords caps the stack-distance state of one sweep: the sum of
 // sets × depth over its distinct set counts, which is the number of
-// 8-byte words stackdist.NewFamily allocates for each of a pass's
-// three views. 2^21 words is 16 MB per view. The largest sweep the
+// 8-byte words stackdist.NewFamily allocates for each view a pass
+// prices. 2^21 words is 16 MB per view. The largest sweep the
 // repository runs (32-byte lines, ways 1-32 over the paper's ten
 // sizes: 15 set counts) needs 1,834,496.
 const MaxSweepWords = 1 << 21
@@ -104,6 +104,20 @@ func (g SweepGeometry) ways() int {
 	return g.Ways
 }
 
+// Views selects the miss-ratio views a StackSweep prices: a union of
+// ViewUnified, ViewInst and ViewData. The zero value selects all three.
+type Views uint8
+
+// Bit v selects index v of StackSweep.views and blockDecoder.recs.
+const (
+	ViewUnified Views = 1 << iota
+	ViewInst
+	ViewData
+)
+
+// Has reports whether v selects view w.
+func (v Views) Has(w Views) bool { return v == 0 || v&w != 0 }
+
 // StackSweep is the single-pass sweep engine: instead of replaying the
 // trace through one concrete cache per (size, view), it feeds the same
 // packed streams into one stack-distance accumulator per distinct set
@@ -113,21 +127,24 @@ func (g SweepGeometry) ways() int {
 // size — the marginal cost of an extra geometry is at most one more
 // set count to maintain, usually zero. Each view's accumulators form a
 // stackdist.Family, which skips a record at every set count refining
-// one where the record was already on top of its set.
+// one where the record was already on top of its set. A pass builds
+// only the families of the views it was asked for, and decodes only
+// the streams they read.
 //
 // Its Curves are bit-identical to those of Sweep, the per-access
 // concrete-cache oracle, for every geometry Sweep can build; the
 // differential tests prove it.
 //
 // It implements trace.BlockProbe (the hot path: each block decoded
-// once, the three views fanned out across the shared replay pool) and
-// trace.Probe, as an adapter over the block path.
+// once, the selected views fanned out across the shared replay pool)
+// and trace.Probe, as an adapter over the block path.
 type StackSweep struct {
 	// Parallelism bounds the per-view fan-out of block replay: 1
 	// replays serially in the calling goroutine; other values fan the
 	// views out across the shared replay pool with at most Parallelism
 	// in flight (0 = no bound beyond the pool). The views are
-	// independent, so every setting yields the same curves.
+	// independent, so every setting yields the same curves. A pass
+	// pricing one view always replays it in the calling goroutine.
 	Parallelism int
 
 	// Cancel, when non-nil, makes InstBlock drain without accounting
@@ -140,18 +157,27 @@ type StackSweep struct {
 	geoms     []SweepGeometry
 	lineBytes int
 
-	// views holds the unified, instruction and data families, in that
-	// order: the unified stream has about as many records as the other
-	// two together, so it is handed to the fan-out first.
+	// views holds the unified, instruction and data families, indexed
+	// like blockDecoder.recs, nil where the view is not selected; sel
+	// lists the selected indexes in that order. The unified stream has
+	// about as many records as the other two together, so it is handed
+	// to the fan-out first.
 	views [3]*stackdist.Family
+	sel   []int
 }
 
 // NewStackSweep builds a single-pass sweep over any number of
-// geometries sharing one line size. Ways and lineBytes of 0 select the
-// paper defaults; CheckSweep validates them, as it does for
-// NewSweepSpec (invalid line sizes and non-dividing capacities are
-// rejected, never rounded).
+// geometries sharing one line size, pricing all three views. Ways and
+// lineBytes of 0 select the paper defaults; CheckSweep validates them,
+// as it does for NewSweepSpec (invalid line sizes and non-dividing
+// capacities are rejected, never rounded).
 func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
+	return NewStackSweepViews(0, lineBytes, geoms...)
+}
+
+// NewStackSweepViews is NewStackSweep pricing only the selected views:
+// Curves leaves the others nil.
+func NewStackSweepViews(views Views, lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 	if len(geoms) == 0 {
 		return nil, fmt.Errorf("machine: stack sweep with no geometries")
 	}
@@ -161,7 +187,10 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 	if lineBytes == 0 {
 		lineBytes = DefaultSweepLineBytes
 	}
-	s := &StackSweep{lineBytes: lineBytes, blockDecoder: blockDecoder{lineShift: uint(bits.TrailingZeros(uint(lineBytes)))}}
+	s := &StackSweep{lineBytes: lineBytes, blockDecoder: blockDecoder{
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		views:     views,
+	}}
 	depths := map[int]int{}
 	for _, g := range geoms {
 		g.Ways = g.ways()
@@ -176,7 +205,10 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 		s.geoms = append(s.geoms, g)
 	}
 	for v := range s.views {
-		s.views[v] = stackdist.NewFamily(depths)
+		if views.Has(1 << v) {
+			s.views[v] = stackdist.NewFamily(depths)
+			s.sel = append(s.sel, v)
+		}
 	}
 	return s, nil
 }
@@ -185,9 +217,9 @@ func NewStackSweep(lineBytes int, geoms ...SweepGeometry) (*StackSweep, error) {
 func (s *StackSweep) Inst(i *isa.Inst) { s.InstBlock([]isa.Inst{*i}) }
 
 // InstBlock implements trace.BlockProbe: decode once, then replay each
-// view's stream into its family. Each family is owned by exactly one
-// worker and the streams are read-only during the fan-out, so any
-// schedule produces the same histograms.
+// selected view's stream into its family. Each family is owned by
+// exactly one worker and the streams are read-only during the fan-out,
+// so any schedule produces the same histograms.
 func (s *StackSweep) InstBlock(block []isa.Inst) {
 	if s.Cancel != nil {
 		select {
@@ -197,38 +229,36 @@ func (s *StackSweep) InstBlock(block []isa.Inst) {
 		}
 	}
 	s.decode(block)
-	streams := [3][]cache.Rec{s.uRecs, s.iRecs, s.dRecs}
 	par := s.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par == 1 {
-		for v, f := range s.views {
-			f.AccessBlock(streams[v])
+	if par == 1 || len(s.sel) == 1 {
+		for _, v := range s.sel {
+			s.views[v].AccessBlock(s.recs[v])
 		}
 		return
 	}
-	sharedReplayPool().ForEachN(par, len(s.views), func(v int) {
-		s.views[v].AccessBlock(streams[v])
+	sharedReplayPool().ForEachN(par, len(s.sel), func(k int) {
+		v := s.sel[k]
+		s.views[v].AccessBlock(s.recs[v])
 	})
 }
 
-// Curves derives geometry g's three miss-ratio views from the
+// Curves derives geometry g's selected miss-ratio views from the
 // histograms — Sweep.Curves()-compatible, bit-identical to what the
-// concrete caches would have reported.
+// concrete caches would have reported. Views the sweep does not price
+// are nil.
 func (s *StackSweep) Curves(g int) Curves {
 	geom := s.geoms[g]
-	out := Curves{
-		SizesKB: geom.SizesKB,
-		Inst:    make([]float64, len(geom.SizesKB)),
-		Data:    make([]float64, len(geom.SizesKB)),
-		Unified: make([]float64, len(geom.SizesKB)),
-	}
-	for j, kb := range geom.SizesKB {
-		sets := (kb << 10) / s.lineBytes / geom.Ways
-		out.Unified[j] = s.views[0].Stack(sets).MissRatio(geom.Ways)
-		out.Inst[j] = s.views[1].Stack(sets).MissRatio(geom.Ways)
-		out.Data[j] = s.views[2].Stack(sets).MissRatio(geom.Ways)
+	out := Curves{SizesKB: geom.SizesKB}
+	ratios := [3]*[]float64{&out.Unified, &out.Inst, &out.Data}
+	for _, v := range s.sel {
+		r := make([]float64, len(geom.SizesKB))
+		for j, kb := range geom.SizesKB {
+			r[j] = s.views[v].Stack((kb << 10) / s.lineBytes / geom.Ways).MissRatio(geom.Ways)
+		}
+		*ratios[v] = r
 	}
 	return out
 }
@@ -249,23 +279,29 @@ func sharedReplayPool() *conc.Pool {
 	return replayPool
 }
 
-// blockDecoder turns instruction blocks into the three packed access
-// streams StackSweep replays: instruction lines (adjacent duplicates
-// dropped, with the dedup state carried across blocks), data lines
-// (consecutive same-line accesses merged into runs) and the unified
-// interleaving (its own stream — order matters to LRU state).
+// blockDecoder turns instruction blocks into the packed access streams
+// StackSweep replays: the unified interleaving (its own stream — order
+// matters to LRU state), instruction lines (adjacent duplicates
+// dropped, with the dedup state carried across blocks) and data lines
+// (consecutive same-line accesses merged into runs). It builds only the
+// streams of the selected views: instruction lines alone are the
+// PC-line dedup loop.
 type blockDecoder struct {
 	lastILine uint64
 	lineShift uint
+	views     Views
 
-	// Per-block scratch streams, reused across blocks.
-	iRecs, dRecs, uRecs []cache.Rec
+	// Per-block scratch streams (unified, instruction, data), reused
+	// across blocks.
+	recs [3][]cache.Rec
 }
 
-// decode repacks one block, leaving the streams in iRecs/dRecs/uRecs
-// (valid until the next call).
+// decode repacks one block, leaving the streams in recs (valid until
+// the next call).
 func (d *blockDecoder) decode(block []isa.Inst) {
-	iRecs, dRecs, uRecs := d.iRecs[:0], d.dRecs[:0], d.uRecs[:0]
+	uRecs, iRecs, dRecs := d.recs[0][:0], d.recs[1][:0], d.recs[2][:0]
+	wantU, wantI, wantD := d.views.Has(ViewUnified), d.views.Has(ViewInst), d.views.Has(ViewData)
+	wantMem := wantU || wantD
 	last := d.lastILine
 	shift := d.lineShift
 	for k := range block {
@@ -277,24 +313,28 @@ func (d *blockDecoder) decode(block []isa.Inst) {
 			// in the unified stream the preceding record can only be a
 			// different I line or a data line from a disjoint region.
 			rec := cache.PackRec(line, false)
-			iRecs = append(iRecs, rec)
-			uRecs = append(uRecs, rec)
+			if wantI {
+				iRecs = append(iRecs, rec)
+			}
+			if wantU {
+				uRecs = append(uRecs, rec)
+			}
 		}
-		if i.Op == isa.Load || i.Op == isa.Store {
+		if wantMem && (i.Op == isa.Load || i.Op == isa.Store) {
 			line := i.Addr >> shift
 			write := i.Op == isa.Store
 			// Sequential scans revisit a 64-byte line several times in
 			// a row; merging the run into one record makes the revisit
 			// O(1) in every consumer replaying it (the line is MRU
 			// after its first access — only counters can change).
-			if len(dRecs) == 0 || !cache.TryMerge(&dRecs[len(dRecs)-1], line, write) {
+			if wantD && (len(dRecs) == 0 || !cache.TryMerge(&dRecs[len(dRecs)-1], line, write)) {
 				dRecs = append(dRecs, cache.PackRec(line, write))
 			}
-			if len(uRecs) == 0 || !cache.TryMerge(&uRecs[len(uRecs)-1], line, write) {
+			if wantU && (len(uRecs) == 0 || !cache.TryMerge(&uRecs[len(uRecs)-1], line, write)) {
 				uRecs = append(uRecs, cache.PackRec(line, write))
 			}
 		}
 	}
 	d.lastILine = last
-	d.iRecs, d.dRecs, d.uRecs = iRecs, dRecs, uRecs
+	d.recs = [3][]cache.Rec{uRecs, iRecs, dRecs}
 }

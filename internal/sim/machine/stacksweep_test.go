@@ -87,6 +87,53 @@ func TestStackSweepMultiGeometryOnePass(t *testing.T) {
 	}
 }
 
+// TestStackSweepViewSubsets pins view selection: every subset of the
+// three views, at line sizes 32, 64 and 128 and ways up to 32, builds
+// only the selected families and decodes only their streams, and each
+// selected view is bit-identical to the same view of an all-view pass.
+func TestStackSweepViewSubsets(t *testing.T) {
+	w := workloads.Representative17()[4] // S-WordCount
+	const budget = 60_000
+	sizes := []int{16, 64, 256, 1024}
+	geoms := []SweepGeometry{{SizesKB: sizes, Ways: 1}, {SizesKB: sizes, Ways: 8}, {SizesKB: sizes, Ways: 32}}
+	for _, line := range []int{32, 64, 128} {
+		all, err := NewStackSweep(line, geoms...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workloads.Run(w, all, budget)
+		for views := Views(1); views <= ViewUnified|ViewInst|ViewData; views++ {
+			ss, err := NewStackSweepViews(views, line, geoms...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workloads.Run(w, ss, budget)
+			for v, f := range ss.views {
+				if selected := views&(1<<v) != 0; (f != nil) != selected || (len(ss.recs[v]) > 0) != selected {
+					t.Errorf("line %d views %03b: view %d has family %v and %d decoded records, selected %v",
+						line, views, v, f != nil, len(ss.recs[v]), selected)
+				}
+			}
+			for g := range geoms {
+				want, got := all.Curves(g), ss.Curves(g)
+				for _, c := range []struct {
+					view      Views
+					got, want []float64
+				}{{ViewUnified, got.Unified, want.Unified}, {ViewInst, got.Inst, want.Inst}, {ViewData, got.Data, want.Data}} {
+					if views&c.view == 0 {
+						if c.got != nil {
+							t.Errorf("line %d views %03b geometry %d: unselected view %03b priced", line, views, g, c.view)
+						}
+					} else if !reflect.DeepEqual(c.got, c.want) {
+						t.Errorf("line %d views %03b geometry %d: view %03b differs from the all-view pass\n got %v\nwant %v",
+							line, views, g, c.view, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStackSweepBlockMatchesSerial pins block delivery (decode + fan
 // out, truncated tails included) to the per-access concrete-cache
 // oracle, one per geometry, for tiny, prime, and budget-truncated

@@ -12,7 +12,8 @@ import (
 // ciRatios are the -ratio terms of CI's bench regression guard.
 const ciRatios = "BenchmarkSweepFiguresBlocked<=0.5*BenchmarkSweepFiguresSerial," +
 	"BenchmarkSweepMultiGeometry/geoms-4<=2.0*BenchmarkSweepMultiGeometry/geoms-1," +
-	"BenchmarkSweepMultiGeometry/geoms-6<=2.0*BenchmarkSweepMultiGeometry/geoms-1"
+	"BenchmarkSweepMultiGeometry/geoms-6<=2.0*BenchmarkSweepMultiGeometry/geoms-1," +
+	"BenchmarkSweepViews/inst<=0.7*BenchmarkSweepViews/all"
 
 // sweepRun is a BenchmarkSweep run as go test names it at GOMAXPROCS
 // procs: the suffix is "" at 1 and "-N" otherwise.
@@ -26,6 +27,8 @@ func sweepRun(t *testing.T, suffix string) string {
 		"BenchmarkSweepMultiGeometry/geoms-1": 73e6,
 		"BenchmarkSweepMultiGeometry/geoms-4": 93e6,
 		"BenchmarkSweepMultiGeometry/geoms-6": 114e6,
+		"BenchmarkSweepViews/inst":            41e6,
+		"BenchmarkSweepViews/all":             87e6,
 	}
 	var env envelope
 	for name, v := range ns {
@@ -55,7 +58,7 @@ func TestLoadNames(t *testing.T) {
 		sort.Strings(names)
 		want := "BenchmarkSweepFiguresBlocked BenchmarkSweepFiguresSerial " +
 			"BenchmarkSweepMultiGeometry/geoms-1 BenchmarkSweepMultiGeometry/geoms-4 BenchmarkSweepMultiGeometry/geoms-6 " +
-			"BenchmarkSweepPassSerial BenchmarkSweepStackDist"
+			"BenchmarkSweepPassSerial BenchmarkSweepStackDist BenchmarkSweepViews/all BenchmarkSweepViews/inst"
 		if strings.Join(names, " ") != want {
 			t.Errorf("suffix %q: loaded %v", suffix, names)
 		}
