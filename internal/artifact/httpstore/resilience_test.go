@@ -96,14 +96,16 @@ func TestPutRetriesTransportFaults(t *testing.T) {
 	key := artifact.KeyOf("retry-put", cfg{N: 2})
 	entry := encodeFor(t, key, "payload")
 
-	// A transport that resets every connection until told otherwise.
+	// A server that fails every request, by a severed connection or an
+	// injected 503.
 	inj := faultinject.New(faultinject.Spec{Seed: 1, ErrProb: 1})
-	c := client(t, ts.URL)
+	fts := httptest.NewServer(inj.Handler(srv.Handler()))
+	defer fts.Close()
+	c := client(t, fts.URL)
 	c.Retry = fastRetry(5)
-	c.HTTP = &http.Client{Transport: inj.Transport(http.DefaultTransport)}
 	c.Put(key.ID(), entry)
 	if st := c.Stats(); st.Puts != 0 || st.Errors != 1 || st.Retries != 4 {
-		t.Fatalf("stats %+v, want 0 puts / 1 error / 4 retries against a 100%%-faulty transport", st)
+		t.Fatalf("stats %+v, want 0 puts / 1 error / 4 retries against a 100%%-faulty server", st)
 	}
 
 	// Clean transport: the same publish lands.

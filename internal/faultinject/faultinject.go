@@ -1,12 +1,11 @@
 // Package faultinject is the deterministic chaos layer: a seeded,
-// schedule-driven injector that wraps an http.RoundTripper (client
-// side) or an http.Handler (server side) and injects latency,
-// 5xx/connection-reset errors, truncated bodies, and flapping
-// down-for-N-seconds windows.
+// schedule-driven injector that wraps an http.Handler (the server side
+// of an exchange) and injects latency, 5xx/connection-reset errors,
+// truncated bodies, and flapping down-for-N-seconds windows.
 //
 // It exists to prove the resilience machinery (internal/retry, fleet
 // peer breakers, degraded-mode serving) actually works: unit tests
-// wrap transports directly, and reprod/artifactd expose a
+// wrap an httptest server's handler, and reprod/artifactd expose a
 // testing-only -fault-spec flag that wraps their serving surface so
 // the chaos CI job can run a flapping replica against a faulty
 // backend.

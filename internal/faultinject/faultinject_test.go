@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -137,78 +136,6 @@ func TestFlappingSchedule(t *testing.T) {
 	}
 }
 
-func TestTransportInjectsErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("real payload bytes here"))
-	}))
-	defer srv.Close()
-
-	in := New(Spec{Seed: 3, ErrProb: 1})
-	client := &http.Client{Transport: in.Transport(nil)}
-	resets, fauxResponses := 0, 0
-	for i := 0; i < 40; i++ {
-		resp, err := client.Get(srv.URL)
-		if err != nil {
-			var f *Fault
-			if !errors.As(err, &f) {
-				t.Fatalf("non-Fault transport error: %v", err)
-			}
-			resets++
-			continue
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get(Header) != "1" {
-			t.Fatalf("unexpected response %d %v", resp.StatusCode, resp.Header)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		fauxResponses++
-	}
-	if resets == 0 || fauxResponses == 0 {
-		t.Fatalf("want both flavors, got %d resets / %d 503s", resets, fauxResponses)
-	}
-	st := in.Stats()
-	if st.Errors != 40 || st.Resets != int64(resets) {
-		t.Fatalf("stats %+v inconsistent with %d resets", st, resets)
-	}
-}
-
-func TestTransportDownWindow(t *testing.T) {
-	in := New(Spec{Seed: 1, Down: time.Second})
-	client := &http.Client{Transport: in.Transport(nil)}
-	if _, err := client.Get("http://127.0.0.1:9/never-dialed"); err == nil {
-		t.Fatal("down window let a request through")
-	}
-	if in.Stats().DownRejects != 1 {
-		t.Fatalf("downRejects=%d, want 1", in.Stats().DownRejects)
-	}
-}
-
-func TestTransportTruncatesBody(t *testing.T) {
-	payload := strings.Repeat("x", 4096)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(payload))
-	}))
-	defer srv.Close()
-
-	in := New(Spec{Seed: 5, TruncProb: 1})
-	client := &http.Client{Transport: in.Transport(nil)}
-	resp, err := client.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err == nil {
-		t.Fatalf("truncated body read cleanly (%d bytes)", len(b))
-	}
-	if len(b) >= len(payload) {
-		t.Fatalf("body not truncated: %d bytes", len(b))
-	}
-	if in.Stats().Truncations != 1 {
-		t.Fatalf("truncations=%d, want 1", in.Stats().Truncations)
-	}
-}
-
 func TestHandlerAbortsAndErrors(t *testing.T) {
 	in := New(Spec{Seed: 11, ErrProb: 1})
 	srv := httptest.NewServer(in.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -233,6 +160,12 @@ func TestHandlerAbortsAndErrors(t *testing.T) {
 	if transportErrs == 0 || injected == 0 {
 		t.Fatalf("want both aborted and 503 responses, got %d/%d", transportErrs, injected)
 	}
+	// Every request the handler saw drew a 503 or a reset. The client
+	// retries a GET reset on a reused connection, so the handler may
+	// count more resets than the client saw transport errors.
+	if st := in.Stats(); st.Errors-st.Resets != int64(injected) || st.Resets < int64(transportErrs) {
+		t.Fatalf("stats %+v inconsistent with %d 503s and %d transport errors", st, injected, transportErrs)
+	}
 }
 
 func TestHandlerDownWindowAborts(t *testing.T) {
@@ -243,10 +176,14 @@ func TestHandlerDownWindowAborts(t *testing.T) {
 	// per schedule — the aborted handler goroutine may still be
 	// unwinding when the next phase starts, so mutating one injector's
 	// schedule in place would race with it.
-	down := httptest.NewServer(New(Spec{Seed: 1, Down: time.Second}).Handler(serve))
+	downInj := New(Spec{Seed: 1, Down: time.Second})
+	down := httptest.NewServer(downInj.Handler(serve))
 	defer down.Close()
 	if _, err := http.Get(down.URL); err == nil {
 		t.Fatal("down window served a response")
+	}
+	if n := downInj.Stats().DownRejects; n != 1 {
+		t.Fatalf("downRejects=%d, want 1", n)
 	}
 	// Up-first schedule inside its window: requests pass through clean.
 	up := httptest.NewServer(New(Spec{Seed: 1, Up: time.Hour, Down: time.Second}).Handler(serve))
@@ -277,5 +214,8 @@ func TestHandlerTruncation(t *testing.T) {
 	b, err := io.ReadAll(resp.Body)
 	if err == nil && len(b) >= len(payload) {
 		t.Fatalf("response not truncated: %d bytes, err=%v", len(b), err)
+	}
+	if n := in.Stats().Truncations; n != 1 {
+		t.Fatalf("truncations=%d, want 1", n)
 	}
 }

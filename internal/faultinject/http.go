@@ -1,11 +1,8 @@
 package faultinject
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -14,65 +11,6 @@ func timerAfter(d time.Duration) *time.Timer { return time.NewTimer(d) }
 // Header set on every synthesized fault response so tests and humans
 // can tell injected failures from real ones.
 const Header = "X-Fault-Injected"
-
-// Fault is the error type for injected transport-level failures
-// (connection resets and down-window rejections).
-type Fault struct{ Kind string }
-
-func (f *Fault) Error() string { return "faultinject: " + f.Kind }
-
-// Timeout and Temporary make Fault quack like a net.Error so retry
-// classifiers treat it as a transient transport failure.
-func (f *Fault) Timeout() bool   { return false }
-func (f *Fault) Temporary() bool { return true }
-
-// Transport wraps next (nil = http.DefaultTransport) with the
-// injector's client-side faults: down-window and random connection
-// resets, latency, synthesized 503s, and truncated response bodies.
-func (in *Injector) Transport(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return &transport{in: in, next: next}
-}
-
-type transport struct {
-	in   *Injector
-	next http.RoundTripper
-}
-
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	in := t.in
-	if in.downNow() {
-		in.downRejects.Add(1)
-		closeBody(req)
-		return nil, &Fault{"connection reset (down window)"}
-	}
-	if in.spec.Latency > 0 && in.draw(in.spec.LatencyProb) {
-		in.latencies.Add(1)
-		in.sleepCtx(req)
-	}
-	if in.draw(in.spec.ErrProb) {
-		in.errors.Add(1)
-		if in.draw(0.5) {
-			in.resets.Add(1)
-			closeBody(req)
-			return nil, &Fault{"connection reset"}
-		}
-		closeBody(req)
-		return syntheticResponse(req, http.StatusServiceUnavailable, "injected fault\n"), nil
-	}
-	resp, err := t.next.RoundTrip(req)
-	if err == nil && resp.Body != nil && in.draw(in.spec.TruncProb) {
-		in.truncations.Add(1)
-		limit := int64(64)
-		if resp.ContentLength > 1 {
-			limit = resp.ContentLength / 2
-		}
-		resp.Body = &truncBody{rc: resp.Body, remaining: limit}
-	}
-	return resp, err
-}
 
 // sleepCtx sleeps the injected latency but wakes early if the request
 // context dies.
@@ -88,54 +26,6 @@ func (in *Injector) sleepCtx(req *http.Request) {
 		t.Stop()
 	}
 }
-
-func closeBody(req *http.Request) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
-}
-
-func syntheticResponse(req *http.Request, code int, body string) *http.Response {
-	h := make(http.Header)
-	h.Set(Header, "1")
-	h.Set("Content-Type", "text/plain; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", code, http.StatusText(code)),
-		StatusCode:    code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        h,
-		Body:          io.NopCloser(strings.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}
-}
-
-// truncBody serves the first `remaining` bytes of the real body, then
-// fails the read like a dropped connection.
-type truncBody struct {
-	rc        io.ReadCloser
-	remaining int64
-}
-
-func (t *truncBody) Read(p []byte) (int, error) {
-	if t.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if int64(len(p)) > t.remaining {
-		p = p[:t.remaining]
-	}
-	n, err := t.rc.Read(p)
-	t.remaining -= int64(n)
-	if err == nil && t.remaining <= 0 {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-func (t *truncBody) Close() error { return t.rc.Close() }
 
 // Handler wraps next with the injector's server-side faults. Down
 // windows and injected resets abort the connection outright via

@@ -109,8 +109,32 @@ func respond(w http.ResponseWriter, keyID, source string, b []byte) {
 	w.Write(b)
 }
 
-// finish maps a flight outcome onto the response.
-func (s *Server) finish(w http.ResponseWriter, keyID string, joined bool, b []byte, err error) {
+// warm answers from the store when key's bytes are already available
+// to it (memory tier or backend): pure store I/O, no session, no render.
+func (s *Server) warm(w http.ResponseWriter, key artifact.Key) bool {
+	b, ok := artifact.Peek[[]byte](s.store, key, nil)
+	if ok {
+		s.warmHits.Add(1)
+		respond(w, key.ID(), "warm", b)
+	}
+	return ok
+}
+
+// cold answers a request the warm check missed: proxied to the key's
+// fleet home when another replica owns it, computed under coalescing
+// otherwise. body is the request body a proxy resends (nil for GETs). A
+// failed proxy spent its retry budget in backoff, long enough for a
+// concurrent requester (or the rerouted wave in front of us) to have
+// finished the key locally, so the store is checked once more before
+// a fresh flight opens.
+func (s *Server) cold(w http.ResponseWriter, r *http.Request, key artifact.Key, body []byte, run func(context.Context) ([]byte, error)) {
+	keyID := key.ID()
+	if owner, fwd := s.route(r, keyID); fwd {
+		if s.proxy(w, r, owner, keyID, body) || s.warm(w, key) {
+			return
+		}
+	}
+	b, joined, err := s.flights.do(r.Context(), keyID, run)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client is gone (or every client was): nothing useful
@@ -149,38 +173,10 @@ func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.unitReqs.Add(1)
-	if b, ok := artifact.Peek[[]byte](s.store, key, nil); ok {
-		s.warmHits.Add(1)
-		respond(w, key.ID(), "warm", b)
+	if s.warm(w, key) {
 		return
 	}
-	if owner, fwd := s.route(r, key.ID()); fwd {
-		if s.proxy(w, r, owner, key.ID(), nil) {
-			return
-		}
-		if b, ok := s.rePeek(key); ok {
-			respond(w, key.ID(), "warm", b)
-			return
-		}
-	}
-	b, joined, err := s.flights.do(r.Context(), key.ID(), func(fctx context.Context) ([]byte, error) {
-		return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-			return s.renderUnit(fctx, sess, unit, s.engineEvents)
-		})
-	})
-	s.finish(w, key.ID(), joined, b, err)
-}
-
-// rePeek re-checks the warm path after a failed proxy: the proxy spent
-// its retry budget in backoff, long enough for a concurrent requester
-// (or the rerouted wave in front of us) to have finished the key
-// locally — serve those bytes instead of opening a fresh flight.
-func (s *Server) rePeek(key artifact.Key) ([]byte, bool) {
-	b, ok := artifact.Peek[[]byte](s.store, key, nil)
-	if ok {
-		s.warmHits.Add(1)
-	}
-	return b, ok
+	s.cold(w, r, key, nil, s.unitCompute(unit, key.ID()))
 }
 
 // handleScenario answers POST /v1/scenarios: validate and canonicalize
@@ -202,32 +198,19 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	s.scenarioReqs.Add(1)
 	key := experiments.ScenarioKey(canon)
-	if b, ok := artifact.Peek[[]byte](s.store, key, nil); ok {
-		s.warmHits.Add(1)
-		respond(w, key.ID(), "warm", b)
+	if s.warm(w, key) {
 		return
 	}
 	// Marshal the canonical form before routing: route() may consume a
 	// tripped owner's single half-open probe slot, which must not be
 	// wasted on a request that then fails to serialize. The owner
 	// re-canonicalizes (idempotent) and lands on the same key.
-	if body, merr := json.Marshal(canon); merr == nil {
-		if owner, fwd := s.route(r, key.ID()); fwd {
-			if s.proxy(w, r, owner, key.ID(), body) {
-				return
-			}
-			if b, ok := s.rePeek(key); ok {
-				respond(w, key.ID(), "warm", b)
-				return
-			}
-		}
+	body, err := json.Marshal(canon)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "invalid_scenario", err.Error(), key.ID())
+		return
 	}
-	b, joined, err := s.flights.do(r.Context(), key.ID(), func(fctx context.Context) ([]byte, error) {
-		return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-			return experiments.RunScenario(sess, canon)
-		})
-	})
-	s.finish(w, key.ID(), joined, b, err)
+	s.cold(w, r, key, body, s.scenarioCompute(canon, key.ID()))
 }
 
 // decodeScenario parses a scenario body, bounding it like any request
@@ -298,14 +281,24 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// Scenarios are validated now (a bad spec fails the submit, not
-		// the poll) but canonicalized again at run time; Canonical is
-		// deterministic, so the two agree.
-		for _, spec := range req.Scenarios {
-			if _, err := spec.Canonical(s.cfg.Opt); err != nil {
+		// Scenarios are canonicalized now, so a bad spec fails the
+		// submit, not the poll, and the job runs the canonical forms. A
+		// job reports each result under its name, so two scenarios may
+		// not share one.
+		names := make(map[string]bool, len(req.Scenarios))
+		for i, spec := range req.Scenarios {
+			canon, err := spec.Canonical(s.cfg.Opt)
+			if err != nil {
 				writeErr(w, http.StatusBadRequest, "invalid_scenario", err.Error(), "")
 				return
 			}
+			name := scenarioName(i, spec)
+			if names[name] {
+				writeErr(w, http.StatusBadRequest, "invalid_job", fmt.Sprintf("job names two scenarios %q", name), "")
+				return
+			}
+			names[name] = true
+			req.Scenarios[i] = canon
 		}
 		j := s.jobs.add(req)
 		s.jobsSubmitted.Add(1)

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/artifact"
 )
 
 // errEnvelope decodes the v1 error body.
@@ -45,6 +47,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{http.MethodPost, "/v1/jobs", `{}`, http.StatusBadRequest, "invalid_job"},
 		{http.MethodPost, "/v1/jobs", `{"units": ["fig99"]}`, http.StatusBadRequest, "unknown_unit"},
 		{http.MethodPost, "/v1/jobs", `{"units": ["warm-reps"]}`, http.StatusBadRequest, "unknown_unit"}, // hidden primer
+		{http.MethodPost, "/v1/jobs", `{"scenarios": [{"name": "a", "workloads": ["H-Grep"]}, {"name": "a", "workloads": ["S-Sort"]}]}`, http.StatusBadRequest, "invalid_job"},
 		{http.MethodPost, "/v1/jobs", "garbage", http.StatusBadRequest, "bad_body"},
 		{http.MethodGet, "/v1/jobs/job-99999999", "", http.StatusNotFound, "unknown_job"},
 		{http.MethodGet, "/v1/jobs?state=flying", "", http.StatusBadRequest, "invalid_query"},
@@ -83,9 +86,11 @@ func TestErrorEnvelope(t *testing.T) {
 
 // seedJobs plants n terminal jobs directly in the set (no computation)
 // with alternating done/failed states, returning their ids oldest
-// first.
+// first. Each records one result, whose compute returns "data".
 func seedJobs(srv *Server, n int) []string {
 	ids := make([]string, n)
+	res := jobResult{name: "table1", key: artifact.KeyOf("seeded-result", "table1"),
+		run: func(context.Context) ([]byte, error) { return []byte("data"), nil }}
 	for i := 0; i < n; i++ {
 		j := srv.jobs.add(JobRequest{Units: []string{"table1"}})
 		j.mu.Lock()
@@ -96,7 +101,7 @@ func seedJobs(srv *Server, n int) []string {
 		}
 		j.finished = time.Now()
 		j.timings = []UnitTiming{{Unit: "table1", Ms: 1, Status: "ok"}}
-		j.results = map[string]string{"table1": "data"}
+		j.results = []jobResult{res}
 		j.mu.Unlock()
 		srv.jobs.wg.Done()
 		ids[i] = j.id
@@ -228,76 +233,4 @@ func FuzzJobsEventsQuery(f *testing.F) {
 		}
 		serve(t, cancelled, "/v1/events?"+url.Values{"topics": {topics}}.Encode())
 	})
-}
-
-// TestJobResultsRecoveredPastCap pins the eviction-survival contract
-// for inline results: renders dropped from the retained record by the
-// per-job cap are transparently re-inlined from the store at GET time,
-// so GET /v1/jobs/{id} serves full results (and no truncation flag) as
-// long as the artefacts are fetchable — with the retained record
-// itself staying tiny.
-func TestJobResultsRecoveredPastCap(t *testing.T) {
-	srv, ts := startServer(t, Config{Parallelism: 2, MaxJobResultBytes: 1})
-	body := `{"units": ["table2"], "scenarios": [{"name": "capped", "workloads": ["H-Grep"], "sizes_kb": [16, 64]}]}`
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var idResp struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(ack, &idResp); err != nil || idResp.ID == "" {
-		t.Fatalf("submit ack %q: %v", ack, err)
-	}
-
-	var status JobStatus
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		_, _, b := get(t, ts.URL+"/v1/jobs/"+idResp.ID)
-		if err := json.Unmarshal(b, &status); err != nil {
-			t.Fatal(err)
-		}
-		if status.State == JobDone || status.State == JobFailed || status.State == JobCanceled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", status.State)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if status.State != JobDone {
-		t.Fatalf("job finished %s (%s)", status.State, status.Error)
-	}
-
-	// The retained record dropped everything (1-byte cap)...
-	j, ok := srv.jobs.get(idResp.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	j.mu.Lock()
-	retained, dropped := len(j.results), j.resultsDroppd
-	j.mu.Unlock()
-	if retained != 0 || !dropped {
-		t.Fatalf("cap not exercised: %d retained, dropped=%v", retained, dropped)
-	}
-
-	// ...yet the API response recovered both renders from the store.
-	if status.ResultsTruncated {
-		t.Fatalf("results truncated despite store recovery: %v", keysOf(status.Results))
-	}
-	if len(status.Results) != 2 {
-		t.Fatalf("want 2 recovered results, got %d: %v", len(status.Results), keysOf(status.Results))
-	}
-	code, _, unitBytes := get(t, ts.URL+"/v1/units/table2")
-	if code != http.StatusOK {
-		t.Fatalf("unit fetch: %d", code)
-	}
-	if status.Results["table2"] != string(unitBytes) {
-		t.Fatal("recovered unit result differs from /v1/units/table2")
-	}
-	if len(status.Results["scenario:capped"]) == 0 {
-		t.Fatal("recovered scenario result empty")
-	}
 }

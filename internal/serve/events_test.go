@@ -353,43 +353,110 @@ func TestJobBacklogReplayBoundary(t *testing.T) {
 	}
 }
 
-// TestJobStatusRecomputesEvictedResults closes the ROADMAP serving
-// gap: a done job's inline result that has been dropped by the result
-// cap AND evicted from the store is recomputed at GET time — the
-// response carries the full result, byte-identical, and clears
-// results_truncated.
+// TestJobStatusRecomputesEvictedResults pins the one result path: a
+// job keeps no rendered bytes, so GET /v1/jobs/{id} reads each recorded
+// result from the store (moving neither warm_hits nor computes) and
+// recomputes one the store has evicted, byte-identical and clearing
+// results_truncated, for a done job and a canceled one alike.
 func TestJobStatusRecomputesEvictedResults(t *testing.T) {
-	srv, ts := startServer(t, Config{Parallelism: 2, MaxJobResultBytes: 1})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"units":["table2"]}`))
-	if err != nil {
-		t.Fatal(err)
+	srv, ts := startServer(t, Config{Parallelism: 2})
+	submit := func(body string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub struct{ ID string }
+		json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if sub.ID == "" {
+			t.Fatalf("submit %s: no job id", body)
+		}
+		return sub.ID
 	}
-	var sub struct{ ID string }
-	json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	waitJobState(t, ts.URL, sub.ID, JobDone)
+	status := func(id string) JobStatus {
+		t.Helper()
+		_, _, b := get(t, ts.URL+"/v1/jobs/"+id)
+		var st JobStatus
+		if err := json.Unmarshal(b, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 
-	// The 1-byte cap dropped the render from the retained record; the
-	// store still has it, so the first GET recovers it warm.
-	st := waitJobState(t, ts.URL, sub.ID, JobDone)
+	id := submit(`{"units":["table2"]}`)
+	waitJobState(t, ts.URL, id, JobDone)
+
+	// The render is still in the store: the read copies it out, and is
+	// neither a warm hit nor a compute.
+	before := srv.Metrics()
+	st := status(id)
 	want, ok := st.Results["table2"]
 	if !ok || want == "" || st.ResultsTruncated {
-		t.Fatalf("store-backed recovery failed: truncated=%v results=%v", st.ResultsTruncated, st.Results)
+		t.Fatalf("store-backed read failed: truncated=%v results=%v", st.ResultsTruncated, keysOf(st.Results))
+	}
+	after := srv.Metrics()
+	for _, m := range []string{"warm_hits", "computes"} {
+		if after.Int(m) != before.Int(m) {
+			t.Errorf("job status read moved %s %d -> %d", m, before.Int(m), after.Int(m))
+		}
 	}
 
 	// Evict everything: a tiny quota clears the memory tier, and there
-	// is no persistence backend — the render is now gone from both the
-	// record and the store. jobStatus must recompute it.
+	// is no persistence backend, so jobStatus must recompute the render.
 	srv.Store().SetMemQuota(artifact.MemQuota{MaxBytes: 1})
-	_, _, b := get(t, ts.URL+"/v1/jobs/"+sub.ID)
-	var st2 JobStatus
-	if err := json.Unmarshal(b, &st2); err != nil {
-		t.Fatal(err)
-	}
-	if st2.ResultsTruncated {
+	st = status(id)
+	if st.ResultsTruncated {
 		t.Fatal("results_truncated still set after recompute")
 	}
-	if got := st2.Results["table2"]; got != want {
+	if got := st.Results["table2"]; got != want {
 		t.Fatalf("recomputed result differs from original (%d vs %d bytes)", len(got), len(want))
+	}
+
+	// A job canceled after its first scenario finished records that
+	// result, and the store (still under the tiny quota) has already
+	// evicted it: the read recomputes it too.
+	const light = `{"name": "light", "workloads": ["H-Grep"], "sizes_kb": [16, 64]}`
+	id = submit(`{"scenarios": [` + light + `, {"name": "heavy", "workloads": ["S-Sort"], "sizes_kb": [16], "budget": 500000000}]}`)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := make(chan sseMsg, 64)
+	go streamSSEInto(resp.Body, msgs)
+	for m := range msgs {
+		if m.typ == "scenario_finish" && strings.Contains(m.data, `"scenario":"light"`) {
+			break
+		}
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close()
+	for range msgs {
+		// The stream ends at the job's terminal event.
+	}
+	resp.Body.Close()
+	waitJobState(t, ts.URL, id, JobCanceled)
+
+	computes := srv.Metrics().Int("computes")
+	st = status(id)
+	if st.ResultsTruncated || len(st.Results) != 1 {
+		t.Fatalf("canceled job: truncated=%v results=%v, want the light result only", st.ResultsTruncated, keysOf(st.Results))
+	}
+	if got := srv.Metrics().Int("computes"); got != computes+1 {
+		t.Fatalf("canceled job's status read: computes %d -> %d, want one recompute", computes, got)
+	}
+	code, _, scen := postScenario(t, ts.URL, light)
+	if code != http.StatusOK {
+		t.Fatalf("scenario: %d: %s", code, scen)
+	}
+	if st.Results["scenario:light"] != string(scen) {
+		t.Fatal("canceled job's recomputed result differs from /v1/scenarios")
 	}
 }

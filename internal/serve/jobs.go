@@ -42,10 +42,12 @@ type JobRequest struct {
 
 // JobStatus is the GET /jobs/{id} body. Results carries each
 // completed unit's (and scenario's) rendered text inline, keyed like
-// Timings' Unit column — the retrieval path that keeps working when
-// the store has since evicted the rendered artefact, and the only one
-// for ad-hoc scenario renders (re-POSTing the spec would otherwise
-// recompute them after an eviction).
+// Timings' Unit column. A job keeps no rendered bytes of its own: each
+// result is read from the store when the status is requested, and one
+// the store has since evicted is recomputed, byte-identical, whatever
+// state the job ended in — so the path keeps working after an
+// eviction, and it is the only one for ad-hoc scenario renders.
+// ResultsTruncated reports a result the response could not produce.
 type JobStatus struct {
 	ID               string            `json:"id"`
 	State            JobState          `json:"state"`
@@ -70,15 +72,22 @@ func validJobState(s JobState) bool {
 	return false
 }
 
-// defaultJobResultBytes caps the rendered bytes one job retains inline
-// (Config.MaxJobResultBytes overrides) — finished jobs are themselves
-// retained (up to maxFinishedJobs), so unbounded per-job results would
-// reopen the memory hole the store quota closes. Renders past the cap
-// are dropped from the retained record (the status notes the
-// truncation, and jobStatus recovers them from the store when still
-// available); every real paper unit and scenario render is a few KB of
-// ASCII, far under it.
-const defaultJobResultBytes = 1 << 20
+// scenarioName is the name a job reports its i-th scenario under: the
+// spec's own name, or scenario-N (1-based) for an unnamed spec.
+func scenarioName(i int, spec Scenario) string {
+	if spec.Name != "" {
+		return spec.Name
+	}
+	return fmt.Sprintf("scenario-%d", i+1)
+}
+
+// jobResult is one result a finished job reports: its name, the store
+// key its bytes live under and the compute that renders them again.
+type jobResult struct {
+	name string
+	key  artifact.Key
+	run  func(context.Context) ([]byte, error)
+}
 
 // job is one asynchronous computation with its cancellation handle.
 type job struct {
@@ -88,16 +97,14 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu            sync.Mutex
-	state         JobState
-	created       time.Time
-	started       time.Time
-	finished      time.Time
-	timings       []UnitTiming
-	results       map[string]string
-	resultKeys    map[string]artifact.Key
-	resultsDroppd bool
-	errMsg        string
+	mu       sync.Mutex
+	state    JobState
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	timings  []UnitTiming
+	results  []jobResult // recorded with the terminal state
+	errMsg   string
 
 	// The bounded lifecycle-event backlog GET /v1/jobs/{id}/events
 	// replays before going live. evMu also serializes bus emission for
@@ -117,38 +124,15 @@ func (j *job) eventSnapshot() ([]eventbus.Event, int64) {
 	return append([]eventbus.Event(nil), j.events...), j.eventsDropped
 }
 
-// scenarioSpec finds the submitted scenario behind a job result name
-// (the part after "scenario:"): a spec's own name, or the positional
-// scenario-N fallback unnamed specs are recorded under.
-func (j *job) scenarioSpec(name string) (Scenario, bool) {
-	for i, spec := range j.req.Scenarios {
-		n := spec.Name
-		if n == "" {
-			n = fmt.Sprintf("scenario-%d", i+1)
-		}
-		if n == name {
-			return spec, true
-		}
-	}
-	return Scenario{}, false
-}
-
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, State: j.state,
 		Units: j.req.Units, Scenarios: len(j.req.Scenarios),
-		Created:          j.created,
-		Timings:          append([]UnitTiming(nil), j.timings...),
-		ResultsTruncated: j.resultsDroppd,
-		Error:            j.errMsg,
-	}
-	if len(j.results) > 0 {
-		st.Results = make(map[string]string, len(j.results))
-		for k, v := range j.results {
-			st.Results[k] = v
-		}
+		Created: j.created,
+		Timings: append([]UnitTiming(nil), j.timings...),
+		Error:   j.errMsg,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -240,8 +224,8 @@ type JobPage struct {
 // to one lifecycle state ("" = all); limit bounds the page; cursor, a
 // job id from a previous page's NextCursor, resumes strictly after it
 // (ids smaller than the cursor, in the newest-first order). Summaries
-// carry identity and lifecycle only — Timings and Results are stripped,
-// fetched per job at GET /v1/jobs/{id}.
+// carry identity and lifecycle only — Timings are stripped, and they
+// and Results are fetched per job at GET /v1/jobs/{id}.
 func (s *jobSet) page(state JobState, limit int, cursor string) JobPage {
 	s.mu.Lock()
 	all := make([]*job, 0, len(s.jobs))
@@ -262,8 +246,6 @@ func (s *jobSet) page(state JobState, limit int, cursor string) JobPage {
 			continue
 		}
 		st.Timings = nil
-		st.Results = nil
-		st.ResultsTruncated = false
 		page.Jobs = append(page.Jobs, st)
 		if len(page.Jobs) == limit {
 			// More candidates may remain below this id; hand the client

@@ -23,8 +23,9 @@
 //     exactly one computation.
 //   - Async jobs: POST /v1/jobs accepts unit/scenario batches, returns
 //     an id immediately, and GET /v1/jobs/{id} reports state plus
-//     per-unit timing and inline results. Jobs fill the same store, so
-//     finished work is fetched warm through the synchronous endpoints.
+//     per-unit timing and inline results. Jobs fill the same store and
+//     keep no bytes of their own: a job's results, like finished work
+//     fetched through the synchronous endpoints, are read from it.
 //
 // The HTTP surface is versioned under /v1 with a uniform JSON error
 // envelope (see api.go for the wire schema). Shutdown (SIGTERM in
@@ -90,23 +91,17 @@ type Config struct {
 	// one request is let through as a half-open probe
 	// (0 = retry.DefaultCooldown).
 	PeerCooldown time.Duration
-	// MaxJobResultBytes caps the rendered bytes one job retains inline
-	// (0 = 1 MB). Results past the cap are dropped from the retained
-	// record but recovered from the store at GET time when still
-	// resident (see jobStatus).
-	MaxJobResultBytes int
 }
 
 // Server is the reprod serving core, usable behind any http.Server
 // (cmd/reprod) or httptest (the tests). Construct with New.
 type Server struct {
-	cfg       Config
-	store     *artifact.Store
-	pool      *conc.Pool
-	flights   *flightGroup
-	jobs      *jobSet
-	fleet     *fleet
-	resultCap int
+	cfg     Config
+	store   *artifact.Store
+	pool    *conc.Pool
+	flights *flightGroup
+	jobs    *jobSet
+	fleet   *fleet
 
 	// units maps each visible paper unit to its render key at cfg.Opt,
 	// built once by New: validating and keying a unit request is one
@@ -150,10 +145,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MemQuota.Enabled() {
 		st.SetMemQuota(cfg.MemQuota)
 	}
-	cap := cfg.MaxJobResultBytes
-	if cap <= 0 {
-		cap = defaultJobResultBytes
-	}
 	units := map[string]artifact.Key{}
 	for _, name := range experiments.VisibleUnitNames() {
 		units[name] = experiments.UnitRenderKey(cfg.Opt, name)
@@ -165,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 		pool:         conc.NewPool(cfg.Workers),
 		jobs:         newJobSet(),
 		fleet:        fl,
-		resultCap:    cap,
 		units:        units,
 		bus:          bus,
 		engineEvents: bus.Topic("engine"),
@@ -290,6 +280,28 @@ func (s *Server) renderUnit(ctx context.Context, sess *experiments.Session, unit
 	return nil, fmt.Errorf("unit %s missing from engine results", unit)
 }
 
+// unitCompute returns the flight that renders unit into the store under
+// its render key (keyID): the one compute behind GET /v1/units/{unit}
+// and behind a job's recorded unit result.
+func (s *Server) unitCompute(unit, keyID string) func(context.Context) ([]byte, error) {
+	return func(fctx context.Context) ([]byte, error) {
+		return s.compute(fctx, keyID, func(sess *experiments.Session) ([]byte, error) {
+			return s.renderUnit(fctx, sess, unit, s.engineEvents)
+		})
+	}
+}
+
+// scenarioCompute returns the flight that renders the canonical spec
+// into the store under its scenario key (keyID): the one compute behind
+// POST /v1/scenarios and behind a job's recorded scenario result.
+func (s *Server) scenarioCompute(canon Scenario, keyID string) func(context.Context) ([]byte, error) {
+	return func(fctx context.Context) ([]byte, error) {
+		return s.compute(fctx, keyID, func(sess *experiments.Session) ([]byte, error) {
+			return experiments.RunScenario(sess, canon)
+		})
+	}
+}
+
 // runJob executes one job on the pool worker that picked it up.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
@@ -309,26 +321,7 @@ func (s *Server) runJob(j *job) {
 	sess := s.session(j.ctx)
 	var timings []UnitTiming
 	var firstErr error
-
-	// Rendered results are retained inline (bounded by the job-result
-	// cap) so GET /v1/jobs/{id} can hand them back even after the
-	// store evicts the artefacts — and at all for ad-hoc scenarios,
-	// which have no /v1/units retrieval path. Each result's store key
-	// is recorded alongside, so a render the cap dropped can still be
-	// recovered from the store at GET time.
-	results := map[string]string{}
-	keys := map[string]artifact.Key{}
-	resultBytes := 0
-	truncated := false
-	keep := func(name string, key artifact.Key, b []byte) {
-		keys[name] = key
-		if resultBytes+len(b) > s.resultCap {
-			truncated = true
-			return
-		}
-		resultBytes += len(b)
-		results[name] = string(b)
-	}
+	var results []jobResult
 
 	if len(j.req.Units) > 0 {
 		e := &experiments.Engine{Session: sess, Select: j.req.Units, Events: jobSink{s, j}}
@@ -348,23 +341,20 @@ func (s *Server) runJob(j *job) {
 				status = "primer"
 			}
 			if r.Err == nil && !r.Unit.Hidden && r.Artifact != nil {
-				var buf strings.Builder
-				r.Artifact.Render(&buf)
-				keep(r.Unit.Name, s.units[r.Unit.Name], []byte(buf.String()))
+				key := s.units[r.Unit.Name]
+				results = append(results, jobResult{r.Unit.Name, key, s.unitCompute(r.Unit.Name, key.ID())})
 			}
 			timings = append(timings, UnitTiming{
 				Unit: r.Unit.Name, Ms: float64(r.Elapsed.Microseconds()) / 1000, Status: status,
 			})
 		}
 	}
+	// Submission stored each scenario in canonical form.
 	for i, spec := range j.req.Scenarios {
-		name := spec.Name
-		if name == "" {
-			name = fmt.Sprintf("scenario-%d", i+1)
-		}
+		name := scenarioName(i, spec)
 		s.emitJob(j, "scenario_start", map[string]any{"scenario": name})
 		start := time.Now()
-		b, err := experiments.RunScenario(sess, spec)
+		_, err := experiments.RunScenario(sess, spec)
 		status := "ok"
 		if err != nil {
 			status = "error: " + err.Error()
@@ -376,10 +366,8 @@ func (s *Server) runJob(j *job) {
 			"scenario": name, "ms": float64(time.Since(start).Microseconds()) / 1000, "status": status,
 		})
 		if err == nil {
-			// Canonical succeeded at submit time and is deterministic,
-			// so it cannot fail here.
-			canon, _ := spec.Canonical(s.cfg.Opt)
-			keep("scenario:"+name, experiments.ScenarioKey(canon), b)
+			key := experiments.ScenarioKey(spec)
+			results = append(results, jobResult{"scenario:" + name, key, s.scenarioCompute(spec, key.ID())})
 		}
 		timings = append(timings, UnitTiming{
 			Unit: "scenario:" + name, Ms: float64(time.Since(start).Microseconds()) / 1000, Status: status,
@@ -395,8 +383,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	j.timings = timings
 	j.results = results
-	j.resultKeys = keys
-	j.resultsDroppd = truncated
 	j.finished = time.Now()
 	terminal := "done"
 	var data map[string]any
@@ -419,84 +405,37 @@ func (s *Server) runJob(j *job) {
 	s.emitJob(j, terminal, data)
 }
 
-// jobStatus returns j's status, recovering inline results the cap
-// dropped: any result absent from the retained record whose rendered
-// bytes are still available to the store (memory tier or backend) is
-// re-inlined into this response — transiently, never re-retained, so
-// the per-job memory bound holds.
-//
-// A result gone from the store too (evicted from a memory-only store)
-// is recomputed for a successfully finished job: every job render is a
-// deterministic function of its recorded spec, so the recomputation —
-// run through the flight group under the caller's context, coalesced
-// with any concurrent request for the same key — reproduces the bytes
-// exactly and refills the store for the next poll. ResultsTruncated
-// stays set only for results this response could not recover (a failed
-// or canceled job's missing renders, or a recompute cut short by ctx).
+// jobStatus returns j's status with its recorded results, each read
+// like any other answer: from the store by key, or, when the store has
+// let it go, recomputed through the flight group under the caller's
+// context and coalesced with any request for the same key. A result is
+// a deterministic function of its key, so the recompute reproduces the
+// bytes exactly, whichever state the job ended in. ResultsTruncated
+// reports a result this response could not produce (its recompute
+// failed or was cut short by ctx).
 func (s *Server) jobStatus(ctx context.Context, j *job) JobStatus {
 	st := j.status()
-	if !st.ResultsTruncated {
-		return st
+	if st.Finished == nil {
+		return st // results are recorded with the terminal state
 	}
 	j.mu.Lock()
-	keys := make(map[string]artifact.Key, len(j.resultKeys))
-	for name, k := range j.resultKeys {
-		keys[name] = k
-	}
+	results := j.results
 	j.mu.Unlock()
-	missing := false
-	for name, key := range keys {
-		if _, ok := st.Results[name]; ok {
-			continue
-		}
-		b, ok := artifact.Peek[[]byte](s.store, key, nil)
-		if !ok && st.State == JobDone {
-			b, ok = s.recomputeResult(ctx, j, name, key)
-		}
-		if ok {
-			if st.Results == nil {
-				st.Results = map[string]string{}
+	for _, res := range results {
+		b, ok := artifact.Peek[[]byte](s.store, res.key, nil)
+		if !ok {
+			var err error
+			if b, _, err = s.flights.do(ctx, res.key.ID(), res.run); err != nil {
+				st.ResultsTruncated = true
+				continue
 			}
-			st.Results[name] = string(b)
-		} else {
-			missing = true
 		}
+		if st.Results == nil {
+			st.Results = make(map[string]string, len(results))
+		}
+		st.Results[res.name] = string(b)
 	}
-	st.ResultsTruncated = missing
 	return st
-}
-
-// recomputeResult re-renders one dropped job result from its recorded
-// spec: a paper unit by name, or a scenario looked up in the job's
-// submitted specs. Runs through the flight group so concurrent polls
-// (and synchronous requests for the same key) share one computation.
-func (s *Server) recomputeResult(ctx context.Context, j *job, name string, key artifact.Key) ([]byte, bool) {
-	run := func(fctx context.Context) ([]byte, error) { return nil, fmt.Errorf("unresolvable result %q", name) }
-	if scen, ok := strings.CutPrefix(name, "scenario:"); ok {
-		spec, found := j.scenarioSpec(scen)
-		if !found {
-			return nil, false
-		}
-		canon, err := spec.Canonical(s.cfg.Opt)
-		if err != nil {
-			return nil, false
-		}
-		run = func(fctx context.Context) ([]byte, error) {
-			return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-				return experiments.RunScenario(sess, canon)
-			})
-		}
-	} else if _, ok := s.units[name]; ok {
-		run = func(fctx context.Context) ([]byte, error) {
-			return s.compute(fctx, key.ID(), func(sess *experiments.Session) ([]byte, error) {
-				return s.renderUnit(fctx, sess, name, s.engineEvents)
-			})
-		}
-	} else {
-		return nil, false
-	}
-	b, _, err := s.flights.do(ctx, key.ID(), run)
-	return b, err == nil && b != nil
 }
 
 // BeginShutdown starts a drain: new jobs are refused, queued jobs are

@@ -405,6 +405,7 @@ func TestJobValidation(t *testing.T) {
 		`{}`,
 		`{"units": ["fig99"]}`,
 		`{"scenarios": [{"workloads": ["Z-Nothing"]}]}`,
+		`{"scenarios": [{"name": "scenario-2", "workloads": ["H-Grep"]}, {"workloads": ["S-Sort"]}]}`, // the unnamed spec's name
 		`garbage`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(bad))
