@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/conc"
@@ -299,6 +300,10 @@ type blockDecoder struct {
 // decode repacks one block, leaving the streams in recs (valid until
 // the next call).
 func (d *blockDecoder) decode(block []isa.Inst) {
+	if d.views == ViewInst {
+		d.decodeInst(block)
+		return
+	}
 	uRecs, iRecs, dRecs := d.recs[0][:0], d.recs[1][:0], d.recs[2][:0]
 	wantU, wantI, wantD := d.views.Has(ViewUnified), d.views.Has(ViewInst), d.views.Has(ViewData)
 	wantMem := wantU || wantD
@@ -337,4 +342,22 @@ func (d *blockDecoder) decode(block []isa.Inst) {
 	}
 	d.lastILine = last
 	d.recs = [3][]cache.Rec{uRecs, iRecs, dRecs}
+}
+
+// decodeInst is decode for an instruction-only pass: the PC-line dedup
+// without a branch on the data. Every line is written to the next free
+// record, and the cursor moves past it only when it differs from the
+// line before, so a repeat is overwritten by the next line.
+func (d *blockDecoder) decodeInst(block []isa.Inst) {
+	recs := slices.Grow(d.recs[1][:0], len(block))[:len(block)]
+	last, shift, n := d.lastILine, d.lineShift, 0
+	for k := range block {
+		line := block[k].PC >> shift
+		recs[n] = cache.PackRec(line, false)
+		diff := line ^ last
+		n += int((diff | -diff) >> 63) // 1 exactly when line != last
+		last = line
+	}
+	d.lastILine = last
+	d.recs[1] = recs[:n]
 }

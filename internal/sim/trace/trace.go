@@ -11,6 +11,8 @@
 package trace
 
 import (
+	"sync/atomic"
+
 	"repro/internal/sim/isa"
 	"repro/internal/sim/mem"
 )
@@ -89,6 +91,9 @@ type Routine struct {
 	Base uint64
 	// Size is the region size in bytes.
 	Size uint64
+
+	// slots memoizes the slot table Stream.Emit last used here.
+	slots atomic.Pointer[slotTable]
 }
 
 // End returns one past the last valid instruction address.
@@ -132,8 +137,7 @@ const maxCallDepth = 64
 type Emitter struct {
 	p       Probe
 	bp      BlockProbe // non-nil enables block-buffered delivery
-	block   []isa.Inst // accumulating block; cap is the block size
-	inst    isa.Inst   // staging record for probes without a block path
+	block   []isa.Inst // accumulating block; cap is the block size, 1 without bp
 	pc      uint64
 	rtn     *Routine
 	stack   [maxCallDepth]frame
@@ -186,7 +190,7 @@ func (e *Emitter) pollCancel() {
 // dataset size. Delivery is per-instruction; use NewBlockEmitter for
 // the batched path.
 func NewEmitter(p Probe, budget int64) *Emitter {
-	return &Emitter{p: p, budget: budget, nextReg: 8}
+	return &Emitter{p: p, block: make([]isa.Inst, 0, 1), budget: budget, nextReg: 8}
 }
 
 // NewBlockEmitter returns an emitter that, when p implements
@@ -196,49 +200,52 @@ func NewEmitter(p Probe, budget int64) *Emitter {
 // For probes without a block path it behaves exactly like NewEmitter.
 // The probe observes the identical instruction sequence either way.
 func NewBlockEmitter(p Probe, budget int64, blockSize int) *Emitter {
-	e := &Emitter{p: p, budget: budget, nextReg: 8}
-	if bp, ok := p.(BlockProbe); ok {
-		if blockSize <= 0 {
-			blockSize = DefaultBlockSize
-		}
-		e.bp = bp
-		e.block = make([]isa.Inst, 0, blockSize)
+	bp, ok := p.(BlockProbe)
+	if !ok {
+		return NewEmitter(p, budget)
 	}
-	return e
+	if blockSize <= 0 {
+		blockSize = DefaultBlockSize
+	}
+	return &Emitter{p: p, bp: bp, block: make([]isa.Inst, 0, blockSize), budget: budget, nextReg: 8}
 }
 
 // Flush delivers any buffered partial block. It must be called when
 // emission ends (workloads.Run does); calling it on a per-instruction
 // emitter, or twice, is a no-op.
 func (e *Emitter) Flush() {
-	if e.bp != nil && len(e.block) > 0 {
-		e.bp.InstBlock(e.block)
-		e.block = e.block[:0]
+	if len(e.block) > 0 {
+		e.deliver()
 	}
 }
 
-// put delivers one instruction — written field by field straight into
-// the next block slot on the batched path, staged in e.inst and pushed
-// through Probe.Inst otherwise — and retires it against the budget.
-// Every emission funnels through here, so both delivery modes see the
-// same sequence. Storing the fields in place, rather than building an
-// isa.Inst value and copying it, keeps the hot path free of wide
-// reloads of just-written bytes.
-func (e *Emitter) put(op isa.Op, kind isa.BranchKind, taken bool, pc, addr, target uint64, size uint8, dst, s1, s2 isa.Reg) {
+// deliver hands the buffered block to the probe and empties it. An
+// emitter without a block path buffers one instruction and delivers it
+// through Probe.Inst.
+func (e *Emitter) deliver() {
 	if e.bp != nil {
-		n := len(e.block)
-		e.block = e.block[:n+1]
-		i := &e.block[n]
-		i.PC, i.Addr, i.Target = pc, addr, target
-		i.Op, i.Kind, i.Taken, i.Size = op, kind, taken, size
-		i.Dst, i.Src1, i.Src2 = dst, s1, s2
-		if n+1 == cap(e.block) {
-			e.bp.InstBlock(e.block)
-			e.block = e.block[:0]
-		}
+		e.bp.InstBlock(e.block)
 	} else {
-		e.inst = isa.Inst{PC: pc, Addr: addr, Target: target, Op: op, Kind: kind, Taken: taken, Size: size, Dst: dst, Src1: s1, Src2: s2}
-		e.p.Inst(&e.inst)
+		e.p.Inst(&e.block[0])
+	}
+	e.block = e.block[:0]
+}
+
+// put writes one instruction field by field straight into the next
+// block slot, delivers the block when it fills, and retires the
+// instruction against the budget. Every emission except Stream.Emit's
+// funnels through here, and both delivery modes share it. Storing the
+// fields in place, rather than building an isa.Inst value and copying
+// it, keeps the hot path free of wide reloads of just-written bytes.
+func (e *Emitter) put(op isa.Op, kind isa.BranchKind, taken bool, pc, addr, target uint64, size uint8, dst, s1, s2 isa.Reg) {
+	n := len(e.block)
+	e.block = e.block[:n+1]
+	i := &e.block[n]
+	i.PC, i.Addr, i.Target = pc, addr, target
+	i.Op, i.Kind, i.Taken, i.Size = op, kind, taken, size
+	i.Dst, i.Src1, i.Src2 = dst, s1, s2
+	if n+1 == cap(e.block) {
+		e.deliver()
 	}
 	e.budget--
 	e.emitted++

@@ -24,13 +24,27 @@ func New(seed uint64) *Rand {
 // Seed resets the generator state.
 func (r *Rand) Seed(seed uint64) { r.state = seed }
 
-// Uint64 returns the next 64 random bits (SplitMix64).
-func (r *Rand) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// State returns the generator state; Seed(State()) leaves the generator
+// as it was.
+func (r *Rand) State() uint64 { return r.state }
+
+// Step is one SplitMix64 draw on a state held outside a Rand: it
+// returns the advanced state and the draw's 64 random bits. A hot loop
+// that loads State into a local, steps it and stores it back with Seed
+// draws exactly the sequence Uint64 would.
+func Step(state uint64) (next, bits uint64) {
+	next = state + 0x9E3779B97F4A7C15
+	z := next
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return next, z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 random bits (SplitMix64).
+func (r *Rand) Uint64() uint64 {
+	var z uint64
+	r.state, z = Step(r.state)
+	return z
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
