@@ -541,6 +541,36 @@ func BenchmarkTraceGen(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkColdScenarioPass is the trace pass behind one cold serving
+// request: H-Grep swept at 16 and 64 KB under ways {1, 8}, pricing the
+// instruction view alone, as the committed adhoc_geometries scenarios
+// do. Each iteration runs at budget 200,000 plus the iteration number,
+// so every pass has a budget of its own, like serve-mixed's cold
+// requests; the dataset is generated before the timer starts. Trace
+// generation is most of its cost.
+func BenchmarkColdScenarioPass(b *testing.B) {
+	var w workloads.Workload
+	for _, r := range workloads.Representative17() {
+		if r.ID == "H-Grep" {
+			w = r
+		}
+	}
+	primeDatasets([]workloads.Workload{w})
+	sizes := []int{16, 64}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		sw, err := machine.NewStackSweepViews(machine.ViewInst, 0,
+			machine.SweepGeometry{SizesKB: sizes, Ways: 1}, machine.SweepGeometry{SizesKB: sizes, Ways: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += workloads.Run(w, sw, 200_000+int64(i)).Insts
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+}
+
 // BenchmarkMachineProfile is the machine/profile layer on top of
 // trace/gen: one core.Profiler.Profile per representative — the
 // emitter driving a fresh machine model through its block path, then

@@ -167,7 +167,6 @@ type Injector struct {
 	spec  Spec
 	start time.Time
 	now   func() time.Time // injectable clock (tests)
-	sleep func(time.Duration)
 
 	mu  sync.Mutex
 	rng uint64
@@ -190,7 +189,6 @@ func New(spec Spec) *Injector {
 		spec:  spec,
 		start: time.Now(),
 		now:   time.Now,
-		sleep: time.Sleep,
 		rng:   seed,
 	}
 }

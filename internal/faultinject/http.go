@@ -15,10 +15,6 @@ const Header = "X-Fault-Injected"
 // sleepCtx sleeps the injected latency but wakes early if the request
 // context dies.
 func (in *Injector) sleepCtx(req *http.Request) {
-	if req.Context() == nil {
-		in.sleep(in.spec.Latency)
-		return
-	}
 	t := timerAfter(in.spec.Latency)
 	select {
 	case <-t.C:

@@ -164,12 +164,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			topics = append(topics, t)
 		}
 	}
+	// Subscribe before startSSE sends the headers: a client may act as
+	// soon as it sees them, and an event published before the
+	// subscription would never reach it.
+	sub := s.bus.Subscribe(eventbus.DefaultBuffer, topics...)
+	defer sub.Close()
 	fl, ok := startSSE(w, r)
 	if !ok {
 		return
 	}
-	sub := s.bus.Subscribe(eventbus.DefaultBuffer, topics...)
-	defer sub.Close()
 	streamSSE(r.Context(), w, fl, sub, 0, nil)
 }
 

@@ -172,7 +172,8 @@ type Stream struct {
 	SecP float32
 	Far  *Walk
 	FarP float32
-	// Rng drives class selection and noise. Mandatory.
+	// Rng draws the dependency chains, branch noise, the choice of
+	// walk and random walk positions. Mandatory.
 	Rng *xrand.Rand
 
 	// cuts are Mix, SecP and FarP as integer cut points, recomputed
@@ -333,8 +334,9 @@ func buildSlots(k slotKey) *slotTable {
 // path) and hands the block over whenever it fills. The generator
 // state, budget and register allocator stay in locals; the state is
 // written back to Rng before every call out (block delivery, the
-// cancellation poll) and on return, so the draws are exactly those the
-// per-instruction calls would make.
+// cancellation poll) and on return, so Rng makes exactly the draws, in
+// order, that one call per instruction would make. The cancellation
+// poll still runs every cancelCheckMask+1 emitted instructions.
 func (s *Stream) Emit(e *Emitter, rtn *Routine, off uint64, n int) {
 	if n <= 0 {
 		return
