@@ -5,7 +5,7 @@
 // computed by exactly one shard and downloaded by the rest, and the
 // merged outputs are byte-identical to a single full run.
 //
-// Endpoints: GET/HEAD/PUT /artifact/{id}, POST /closure (bulk
+// Endpoints: GET/PUT /artifact/{id}, POST /closure (bulk
 // download of many entries in one round trip — how a cold shard or
 // reprod instance warms up), GET /stats (JSON counters), GET
 // /healthz. Uploads are verified — an entry whose recorded identity

@@ -7,7 +7,6 @@
 //
 //	GET  /artifact/{id}  one encoded entry (artifact.Entry gob), 404 on
 //	                     miss or on an entry that fails verification
-//	HEAD /artifact/{id}  existence probe
 //	PUT  /artifact/{id}  publish an entry; 400 unless the entry's
 //	                     recorded identity (version, kind, label)
 //	                     hashes to {id}
@@ -21,7 +20,7 @@
 //	GET  /healthz        liveness probe, "ok"
 //
 // With a bearer token configured (SetToken / artifactd -token), every
-// artifact operation — GET, HEAD and PUT — requires a matching
+// artifact operation — GET and PUT — requires a matching
 // "Authorization: Bearer <token>" header and is answered 401
 // otherwise; /stats, /metrics and /healthz stay open for probes and
 // scrapers. Entry payloads cross the wire gzip-compressed when the
@@ -78,7 +77,7 @@ type Server struct {
 }
 
 // SetToken requires "Authorization: Bearer token" on every artifact
-// operation (GET/HEAD/PUT). An empty token (the default) leaves the
+// operation (GET/PUT). An empty token (the default) leaves the
 // server open — appropriate only on a trusted network. Call before
 // serving.
 func (s *Server) SetToken(token string) { s.token = token }
@@ -110,7 +109,7 @@ func (s *Server) Dir() string { return s.backend.Dir() }
 // warm pass recomputed nothing (it adds no puts).
 func (s *Server) Metrics() telemetry.List {
 	return telemetry.List{
-		telemetry.Counter("gets", "artifactd_gets_total", "Artifact lookups received (GET and HEAD).", s.gets.Load()),
+		telemetry.Counter("gets", "artifactd_gets_total", "Artifact lookups received.", s.gets.Load()),
 		telemetry.Counter("hits", "artifactd_hits_total", "Lookups answered with an entry.", s.hits.Load()),
 		telemetry.Counter("misses", "artifactd_misses_total", "Lookups answered 404.", s.misses.Load()),
 		telemetry.Counter("puts", "artifactd_puts_total", "Entry publishes accepted.", s.puts.Load()),
@@ -150,7 +149,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch r.Method {
-	case http.MethodGet, http.MethodHead:
+	case http.MethodGet:
 		s.serve(w, r, id)
 	case http.MethodPut:
 		s.accept(w, r, id)
@@ -159,25 +158,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serve answers GET/HEAD. GET loads, re-verifies and sends: an entry
-// that fails verification (bit rot, a file renamed by hand) is a
-// miss — the client recomputes and republishes a good copy. HEAD is a
-// pure existence probe (one stat, no read or decode); GET still
-// verifies before any payload crosses the wire.
+// serve answers GET: it loads, re-verifies and sends. An entry that
+// fails verification (bit rot, a file renamed by hand) is a miss — the
+// client recomputes and republishes a good copy.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, id string) {
 	s.gets.Add(1)
-	if r.Method == http.MethodHead {
-		size, ok := s.backend.Stat(id)
-		if !ok {
-			s.misses.Add(1)
-			http.NotFound(w, r)
-			return
-		}
-		s.hits.Add(1)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		return
-	}
 	b, ok := s.backend.Get(id)
 	if ok {
 		e, err := artifact.DecodeEntry(b)

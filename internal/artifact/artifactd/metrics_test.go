@@ -128,7 +128,7 @@ func busyServer(t *testing.T) (*Server, string) {
 	put(t, ts.URL+"/artifact/"+key.ID(), encodedEntry(t, key, []byte("x")))
 	put(t, ts.URL+"/artifact/"+key.ID(), []byte("not an entry"))
 	fetch(t, ts.URL+"/artifact/"+key.ID())
-	if resp, err := http.Head(ts.URL + "/artifact/surface-0123456789abcdef"); err == nil {
+	if resp, err := http.Get(ts.URL + "/artifact/surface-0123456789abcdef"); err == nil {
 		resp.Body.Close()
 	}
 	postClosure(t, ts.URL, []string{key.ID()}, nil)

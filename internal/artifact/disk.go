@@ -45,16 +45,6 @@ func (d *DiskBackend) Get(id string) ([]byte, bool) {
 	return b, true
 }
 
-// Stat reports whether id has an entry and its encoded size, without
-// reading it — the cheap existence probe behind artifactd's HEAD.
-func (d *DiskBackend) Stat(id string) (size int64, ok bool) {
-	info, err := os.Stat(d.path(id))
-	if err != nil {
-		return 0, false
-	}
-	return info.Size(), true
-}
-
 // Put publishes id's entry, best-effort: a full write to a temp file
 // followed by an atomic rename, so concurrent writers (sharded runs
 // computing the same deterministic artefact) each publish a complete

@@ -6,7 +6,6 @@
 // Wire protocol (see also internal/artifact/artifactd):
 //
 //	GET  {base}/artifact/{id}  -> 200 + encoded entry | 404 miss
-//	HEAD {base}/artifact/{id}  -> 200 | 404
 //	PUT  {base}/artifact/{id}  <- gzip-compressed encoded entry; 204,
 //	                              or 400 if the entry's recorded
 //	                              identity does not hash to {id}

@@ -47,7 +47,6 @@ func TestProfileRecordMatches(t *testing.T) {
 	}{
 		{"complete", ProfileRecord{ID: w.ID, Vector: v, Branch: tally}, true},
 		{"other workload", ProfileRecord{ID: "M-Other", Vector: v, Branch: tally}, false},
-		{"branches without a tally", ProfileRecord{ID: w.ID, Vector: v}, false},
 		{"no branches, no tally", ProfileRecord{ID: w.ID}, true},
 	} {
 		if got := c.rec.Matches(w); got != c.want {

@@ -41,14 +41,8 @@ func Record(p Profile) ProfileRecord {
 }
 
 // Matches reports whether the record was profiled from w — the
-// staleness check a store-loaded record must pass before rebinding. A
-// record whose vector counts branches but whose Branch tally is empty
-// was written before records carried the tally; it is rejected so the
-// store recomputes it instead of rebinding zero counts.
+// staleness check a store-loaded record must pass before rebinding.
 func (r ProfileRecord) Matches(w workloads.Workload) bool {
-	if r.Vector[metrics.MixBranch] > 0 && r.Branch.Branches == 0 {
-		return false
-	}
 	return r.ID == w.ID
 }
 

@@ -5,9 +5,9 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/machineutil"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/sim/machine"
 	"repro/internal/suites"
 	"repro/internal/workloads"
 )
@@ -66,7 +66,8 @@ func Fig1(s *Session) Fig1Result {
 	out.DataMovementShare = bd[metrics.MixLoad] + bd[metrics.MixStore] + addr
 	out.WithBranches = out.DataMovementShare + bd[metrics.MixBranch]
 	out.AvgGFLOPS = bd[metrics.GFLOPS]
-	out.PeakGFLOPS = 57.6 // 6 cores x 2.4 GHz x 4 flops/cycle
+	xeon := machine.XeonE5645()
+	out.PeakGFLOPS = float64(xeon.Cores) * xeon.FreqHz * float64(xeon.PeakFlopsPerCycle) / 1e9
 	return out
 }
 
@@ -173,7 +174,13 @@ func valueFigure(s *Session, title string, names []string, idx []int) FigSeriesR
 	// reports per subsection.
 	reps := s.Reps()
 	for _, cat := range []workloads.Category{workloads.Service, workloads.DataAnalysis, workloads.InteractiveAnalysis} {
-		v := machineutil.AverageWhere(reps, func(w workloads.Workload) bool { return w.Category == cat })
+		var members []core.Profile
+		for _, p := range reps {
+			if p.Workload.Category == cat {
+				members = append(members, p)
+			}
+		}
+		v := average(members)
 		vals := make([]float64, len(idx))
 		for i, ix := range idx {
 			vals[i] = v[ix]

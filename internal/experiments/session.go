@@ -17,7 +17,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/machineutil"
 	"repro/internal/metrics"
 	"repro/internal/sim/machine"
 	"repro/internal/suites"
@@ -314,7 +313,7 @@ func (s *Session) Suites() (map[string]metrics.Vector, map[string][]core.Profile
 			end := start + len(all[name])
 			runs := profs[start:end:end]
 			out.runs[name] = runs
-			out.avg[name] = machineutil.Average(runs)
+			out.avg[name] = average(runs)
 			start = end
 		}
 		return out, nil
@@ -510,5 +509,22 @@ func (s *Session) Renders() int64 { return s.renders.Load() }
 
 // BigDataAverage averages the 17 representatives' vectors.
 func (s *Session) BigDataAverage() metrics.Vector {
-	return machineutil.Average(s.Reps())
+	return average(s.Reps())
+}
+
+// average returns the element-wise mean vector of the profiles.
+func average(profiles []core.Profile) metrics.Vector {
+	var out metrics.Vector
+	if len(profiles) == 0 {
+		return out
+	}
+	for _, p := range profiles {
+		for i, v := range p.Vector {
+			out[i] += v
+		}
+	}
+	for i := range out {
+		out[i] /= float64(len(profiles))
+	}
+	return out
 }

@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
-	"repro/internal/sim/branch"
 	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
@@ -397,50 +395,6 @@ func TestProfilesOrderAndCompleteness(t *testing.T) {
 		if b.Branches == 0 || b.Mispredicts != b.MisCond+b.MisRet+b.MisInd {
 			t.Fatalf("%s: branch tally %+v: no branches, or classes do not sum to the mispredictions", p.Workload.ID, b)
 		}
-	}
-}
-
-// TestProfileRecordWithoutBranchTallyRecomputed pins the staleness
-// guard on persisted profiles: a record written before records carried
-// the branch tally decodes with Branch zeroed. A fresh session must
-// discard it and profile again, never rebind zero misprediction
-// classes, and persist the recomputed record in its place.
-func TestProfileRecordWithoutBranchTallyRecomputed(t *testing.T) {
-	dir := t.TempDir()
-	cfg, w, budget := machine.XeonE5645(), workloads.MPI6()[0], tinyOptions().Budget
-	stale := core.Record((&core.Profiler{Machine: cfg, Budget: budget}).Profile(w))
-	stale.Branch = branch.Stats{}
-	old, err := artifact.NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := artifact.Get(old, profileKeyFor(cfg, w, budget), func() (core.ProfileRecord, error) { return stale, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	read := func() (core.Profile, *Session, artifact.Stats) {
-		st, err := artifact.NewDisk(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSession(tinyOptions())
-		s.Store = st
-		p := s.Profiles(cfg, []workloads.Workload{w}, budget)[0]
-		return p, s, st.Stats()
-	}
-	p, s, stats := read()
-	if stats.BackendDiscards != 1 || s.ProfileRuns() != 1 {
-		t.Fatalf("stale record: %d backend discards, %d profile runs; want 1 and 1", stats.BackendDiscards, s.ProfileRuns())
-	}
-	if b := p.Branch; b.Branches == 0 || b.MisCond+b.MisRet+b.MisInd == 0 {
-		t.Fatalf("recomputed profile has branch tally %+v, want non-zero class counts", b)
-	}
-	if p.Vector != stale.Vector {
-		t.Fatal("recomputed vector differs from the stale record's")
-	}
-	p2, s2, stats2 := read()
-	if stats2.BackendDiscards != 0 || s2.ProfileRuns() != 0 || p2.Branch != p.Branch {
-		t.Fatalf("re-read: %d discards, %d runs, tally %+v; want the recomputed record warm", stats2.BackendDiscards, s2.ProfileRuns(), p2.Branch)
 	}
 }
 

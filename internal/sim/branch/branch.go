@@ -2,17 +2,17 @@
 // the paper contrasts in Table 4:
 //
 //   - TwoLevel: the Intel Atom D510 class — a two-level adaptive
-//     predictor with a global history table, a 128-entry BTB, no
-//     indirect predictor, 15-cycle misprediction penalty.
+//     predictor with a global history table, a 128-entry BTB and no
+//     indirect predictor.
 //   - Hybrid: the Intel Xeon E5645 class — a hybrid predictor combining
 //     a two-level (gshare) component with a bimodal component and a
-//     loop counter, an indirect-target predictor, an 8192-entry BTB,
-//     and a 12-cycle penalty (the paper reports 11-13).
+//     loop counter, an indirect-target predictor and an 8192-entry BTB.
 //
-// The paper measures 7.8% average misprediction on the Atom and 2.8%
-// on the Xeon for the representative big data workloads. NewHybridOpt
-// builds the Xeon organization without its loop counter, to compare
-// the two on the same branch stream.
+// A predictor only reports mispredictions; what one costs (Table 4's
+// 15 cycles on the Atom, 11-13 on the Xeon) is the pipeline's
+// MispredictPenalty. The paper measures 7.8% average misprediction on
+// the Atom and 2.8% on the Xeon for the representative big data
+// workloads.
 package branch
 
 import "repro/internal/sim/isa"
@@ -30,8 +30,6 @@ type Predictor interface {
 	Access(i *isa.Inst) (mispredict, redirect bool)
 	// Stats returns cumulative predictor statistics.
 	Stats() Stats
-	// Penalty is the misprediction penalty in cycles.
-	Penalty() int
 }
 
 // Stats are cumulative counters exposed for the metric vector.
@@ -120,28 +118,20 @@ type TwoLevel struct {
 	mask    uint64
 	btb     *btb
 	ras     *ras
-	penalty int
 	stats   Stats
 }
 
 // NewTwoLevel builds the Atom-class predictor: 8 bits of global
-// history, a 1024-entry pattern history table, 128-entry BTB,
-// 8-deep RAS, 15-cycle penalty.
+// history, a 1024-entry pattern history table, a 128-entry BTB and an
+// 8-deep RAS.
 func NewTwoLevel() *TwoLevel {
-	return NewTwoLevelSized(8, 1024, 128, 15)
-}
-
-// NewTwoLevelSized builds a two-level predictor with explicit history
-// length, PHT entries (power of two), BTB entries (power of two) and
-// penalty; used by the ablation benches.
-func NewTwoLevelSized(histBits uint, phtEntries, btbEntries, penalty int) *TwoLevel {
+	const phtEntries = 1024
 	p := &TwoLevel{
-		histLen: histBits,
+		histLen: 8,
 		pht:     make([]uint8, phtEntries),
-		mask:    uint64(phtEntries - 1),
-		btb:     newBTB(btbEntries),
+		mask:    phtEntries - 1,
+		btb:     newBTB(128),
 		ras:     newRAS(8),
-		penalty: penalty,
 	}
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not-taken
@@ -151,9 +141,6 @@ func NewTwoLevelSized(histBits uint, phtEntries, btbEntries, penalty int) *TwoLe
 
 // Name implements Predictor.
 func (p *TwoLevel) Name() string { return "two-level(D510)" }
-
-// Penalty implements Predictor.
-func (p *TwoLevel) Penalty() int { return p.penalty }
 
 // Stats implements Predictor.
 func (p *TwoLevel) Stats() Stats { return p.stats }
@@ -232,24 +219,17 @@ type Hybrid struct {
 	mask     uint64
 	loops    []loopEntry
 	loopMask uint64
-	useLoop  bool
 	itc      *btb // indirect target cache
 	btb      *btb
 	ras      *ras
-	penalty  int
 	stats    Stats
 }
 
-// NewHybrid builds the Xeon-class predictor: 12 bits of history,
-// 4096-entry gshare/bimodal/chooser tables, a 64-entry loop predictor,
-// a 512-entry indirect target cache, an 8192-entry BTB, a 16-deep RAS
-// and a 12-cycle penalty.
+// NewHybrid builds the Xeon-class predictor: 14 bits of history,
+// 16384-entry gshare/bimodal/chooser tables, a 64-entry loop
+// predictor, a 512-entry indirect target cache, an 8192-entry BTB and
+// a 16-deep RAS.
 func NewHybrid() *Hybrid {
-	return NewHybridOpt(true)
-}
-
-// NewHybridOpt allows disabling the loop predictor (ablation).
-func NewHybridOpt(loopPredictor bool) *Hybrid {
 	const tableEntries = 16384
 	h := &Hybrid{
 		histLen:  14,
@@ -259,11 +239,9 @@ func NewHybridOpt(loopPredictor bool) *Hybrid {
 		mask:     tableEntries - 1,
 		loops:    make([]loopEntry, 64),
 		loopMask: 63,
-		useLoop:  loopPredictor,
 		itc:      newBTB(512),
 		btb:      newBTB(8192),
 		ras:      newRAS(16),
-		penalty:  12,
 	}
 	for i := range h.gshare {
 		h.gshare[i] = 1
@@ -275,9 +253,6 @@ func NewHybridOpt(loopPredictor bool) *Hybrid {
 
 // Name implements Predictor.
 func (h *Hybrid) Name() string { return "hybrid(E5645)" }
-
-// Penalty implements Predictor.
-func (h *Hybrid) Penalty() int { return h.penalty }
 
 // Stats implements Predictor.
 func (h *Hybrid) Stats() Stats { return h.stats }
@@ -338,14 +313,11 @@ func (h *Hybrid) cond(i *isa.Inst) (bool, bool) {
 
 	// Loop predictor override: when a loop branch has a confidently
 	// learned trip count, predict the exit exactly.
-	var le *loopEntry
-	if h.useLoop {
-		le = &h.loops[(i.PC>>2)&h.loopMask]
-		if le.tag == i.PC+1 && le.conf >= 2 && le.limit > 0 {
-			// Predict taken for the first `limit` executions of the
-			// loop branch, not-taken on the exit.
-			pred = le.count < le.limit
-		}
+	le := &h.loops[(i.PC>>2)&h.loopMask]
+	if le.tag == i.PC+1 && le.conf >= 2 && le.limit > 0 {
+		// Predict taken for the first `limit` executions of the loop
+		// branch, not-taken on the exit.
+		pred = le.count < le.limit
 	}
 
 	// Train direction tables.
@@ -357,27 +329,25 @@ func (h *Hybrid) cond(i *isa.Inst) (bool, bool) {
 	h.ghr = ((h.ghr << 1) | b2u(i.Taken)) & ((1 << h.histLen) - 1)
 
 	// Train loop predictor.
-	if h.useLoop {
-		if le.tag != i.PC+1 {
-			*le = loopEntry{tag: i.PC + 1}
+	if le.tag != i.PC+1 {
+		*le = loopEntry{tag: i.PC + 1}
+	}
+	if i.Taken {
+		le.count++
+		if le.limit > 0 && le.count > le.limit {
+			le.conf = 0
+			le.limit = 0
 		}
-		if i.Taken {
-			le.count++
-			if le.limit > 0 && le.count > le.limit {
-				le.conf = 0
-				le.limit = 0
+	} else {
+		if le.limit == le.count && le.limit > 0 {
+			if le.conf < 3 {
+				le.conf++
 			}
 		} else {
-			if le.limit == le.count && le.limit > 0 {
-				if le.conf < 3 {
-					le.conf++
-				}
-			} else {
-				le.limit = le.count
-				le.conf = 0
-			}
-			le.count = 0
+			le.limit = le.count
+			le.conf = 0
 		}
+		le.count = 0
 	}
 
 	mis := pred != i.Taken

@@ -48,13 +48,12 @@ func TestLoopPredictorCatchesFixedTrips(t *testing.T) {
 		t.Errorf("hybrid missed fixed-trip loop: %.2f%%", hmr*100)
 	}
 
-	hyNoLoop := NewHybridOpt(false)
-	runPattern(hyNoLoop, []uint64{0x2000}, pattern, 64)
-	nmr := runPattern(hyNoLoop, []uint64{0x2000}, pattern, 1600)
-	// Without the loop predictor gshare can still learn short periodic
-	// patterns; the loop predictor must not be worse.
-	if hmr > nmr {
-		t.Errorf("loop predictor made things worse: %.3f vs %.3f", hmr, nmr)
+	tl := NewTwoLevel()
+	runPattern(tl, []uint64{0x2000}, pattern, 64)
+	tmr := runPattern(tl, []uint64{0x2000}, pattern, 1600)
+	// Eight bits of history cannot see a 16-trip exit coming.
+	if hmr >= tmr {
+		t.Errorf("hybrid %.3f not below two-level %.3f on a fixed-trip loop", hmr, tmr)
 	}
 }
 
@@ -146,11 +145,5 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.Mispredicts != st.MisCond+st.MisRet+st.MisInd {
 		t.Fatalf("mispredict breakdown does not sum: %+v", st)
-	}
-	if h.Penalty() != 12 {
-		t.Fatalf("hybrid penalty = %d, want 12", h.Penalty())
-	}
-	if NewTwoLevel().Penalty() != 15 {
-		t.Fatal("two-level penalty != 15 (paper Table 4)")
 	}
 }

@@ -22,8 +22,6 @@ type Config struct {
 	Ways int
 	// LineSize is the block size in bytes (64 throughout the paper).
 	LineSize int
-	// Latency is the hit latency in cycles, charged by the pipeline.
-	Latency int
 }
 
 // Valid reports whether the config describes a usable cache: whole
@@ -311,8 +309,6 @@ func (c *Cache) Reset() {
 // instruction footprint.
 type Hierarchy struct {
 	L1I, L1D, L2, L3 *Cache
-	// MemLatency is the DRAM access latency in cycles.
-	MemLatency int
 
 	// Instruction-side and data-side access/miss splits at L2 and L3.
 	L2IAcc, L2IMiss, L2DAcc, L2DMiss uint64
@@ -331,12 +327,11 @@ const (
 )
 
 // NewHierarchy builds a hierarchy; pass a zero Config for no L3.
-func NewHierarchy(l1i, l1d, l2, l3 Config, memLatency int) *Hierarchy {
+func NewHierarchy(l1i, l1d, l2, l3 Config) *Hierarchy {
 	h := &Hierarchy{
-		L1I:        New(l1i),
-		L1D:        New(l1d),
-		L2:         New(l2),
-		MemLatency: memLatency,
+		L1I: New(l1i),
+		L1D: New(l1d),
+		L2:  New(l2),
 	}
 	if l3.Size > 0 {
 		h.L3 = New(l3)
@@ -423,23 +418,6 @@ func (h *Hierarchy) Data(addr uint64, write bool) int {
 		h.L3.Touch(after, false)
 	}
 	return level
-}
-
-// Latency returns the access latency in cycles for a hit at level.
-func (h *Hierarchy) Latency(level int) int {
-	switch level {
-	case LvlL1:
-		return h.L1D.cfg.Latency
-	case LvlL2:
-		return h.L2.cfg.Latency
-	case LvlL3:
-		if h.L3 != nil {
-			return h.L3.cfg.Latency
-		}
-		return h.MemLatency
-	default:
-		return h.MemLatency
-	}
 }
 
 // FinishWritebacks accounts final memory write traffic (last-level

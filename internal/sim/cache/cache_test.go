@@ -8,7 +8,7 @@ import (
 )
 
 func smallCache(sizeKB, ways int) *Cache {
-	return New(Config{Name: "t", Size: sizeKB << 10, Ways: ways, LineSize: 64, Latency: 1})
+	return New(Config{Name: "t", Size: sizeKB << 10, Ways: ways, LineSize: 64})
 }
 
 func TestHitAfterMiss(t *testing.T) {
@@ -165,11 +165,10 @@ func TestValidNoOverflow(t *testing.T) {
 
 func TestHierarchyLevels(t *testing.T) {
 	h := NewHierarchy(
-		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64, Latency: 10},
-		Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 64, Latency: 38},
-		190)
+		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64},
+		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64},
+		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64},
+		Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 64})
 	if lvl := h.Data(0x100000, false); lvl != LvlMem {
 		t.Fatalf("cold access hit level %d, want memory", lvl)
 	}
@@ -191,13 +190,13 @@ func TestHierarchyPrefetchNextLine(t *testing.T) {
 		l3   Config
 	}{
 		{64, Config{}},
-		{32, Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 32, Latency: 38}},
+		{32, Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 32}},
 	} {
 		h := NewHierarchy(
-			Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: c.line, Latency: 4},
-			Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: c.line, Latency: 4},
-			Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: c.line, Latency: 10},
-			c.l3, 190)
+			Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: c.line},
+			Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: c.line},
+			Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: c.line},
+			c.l3)
 		next := uint64(c.line)
 		h.Data(0x200000, false) // miss; prefetches the next two lines
 		if lvl := h.Data(0x200000+next, false); lvl != LvlL1 {
@@ -212,28 +211,24 @@ func TestHierarchyPrefetchNextLine(t *testing.T) {
 
 func TestHierarchyNoL3(t *testing.T) {
 	h := NewHierarchy(
-		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64, Latency: 10},
-		Config{}, 170)
+		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64},
+		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64},
+		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64},
+		Config{})
 	if h.L3 != nil {
 		t.Fatal("zero L3 config still built an L3")
 	}
 	if lvl := h.Fetch(0x400000); lvl != LvlMem {
 		t.Fatalf("cold fetch hit level %d, want memory", lvl)
 	}
-	if h.Latency(LvlL3) != 170 {
-		t.Fatalf("L3 latency without L3 should be memory latency")
-	}
 }
 
 func TestFetchDataSplitCounters(t *testing.T) {
 	h := NewHierarchy(
-		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64, Latency: 10},
-		Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 64, Latency: 38},
-		190)
+		Config{Name: "L1I", Size: 4 << 10, Ways: 4, LineSize: 64},
+		Config{Name: "L1D", Size: 4 << 10, Ways: 4, LineSize: 64},
+		Config{Name: "L2", Size: 32 << 10, Ways: 8, LineSize: 64},
+		Config{Name: "L3", Size: 256 << 10, Ways: 16, LineSize: 64})
 	h.Fetch(0x1000000)
 	h.Data(0x2000000, false)
 	if h.L2IAcc != 1 || h.L2DAcc != 1 {

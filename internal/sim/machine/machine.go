@@ -23,9 +23,9 @@ const (
 	PredTwoLevel
 )
 
-// Config describes a complete modelled node (one core of it is
-// simulated; Cores and FreqHz feed the system model and the GFLOPS
-// arithmetic).
+// Config describes a complete modelled node. One core of it is
+// simulated; Cores and PeakFlopsPerCycle describe the node for Table 3,
+// the system model and Fig. 1's peak GFLOPS.
 type Config struct {
 	// Name labels the machine model in reports.
 	Name string
@@ -37,13 +37,15 @@ type Config struct {
 	// the paper's peak-GFLOPS observation (§5.1 implications).
 	PeakFlopsPerCycle int
 
+	// L1I..L3 are the cache geometries; a zero L3 means none. What a
+	// hit at each level costs is Pipe.LoadLat.
 	L1I, L1D, L2, L3 cache.Config
-	MemLatency       int
-	// ITLB and DTLB are the first-level TLBs; STLB the shared second
-	// level whose coverage is what keeps real-world TLB walk rates low.
-	ITLB, DTLB, STLB tlb.Config
-	Predictor        PredictorKind
-	Pipe             pipeline.Config
+	// ITLB and DTLB are the first-level TLBs. The second level and the
+	// page walk behind it are the same on every machine (stlbConfig,
+	// stlbHitLatency, walkLatency).
+	ITLB, DTLB tlb.Config
+	Predictor  PredictorKind
+	Pipe       pipeline.Config
 }
 
 // Counters aggregates the per-run events not already counted inside
@@ -92,16 +94,12 @@ func New(cfg Config) *Machine {
 	default:
 		bp = branch.NewHybrid()
 	}
-	stlb := cfg.STLB
-	if stlb.Entries == 0 {
-		stlb = tlb.Config{Name: "STLB", Entries: 512, Ways: 4, WalkLatency: 25}
-	}
 	m := &Machine{
 		Cfg:  cfg,
-		H:    cache.NewHierarchy(cfg.L1I, cfg.L1D, cfg.L2, cfg.L3, cfg.MemLatency),
+		H:    cache.NewHierarchy(cfg.L1I, cfg.L1D, cfg.L2, cfg.L3),
 		ITLB: tlb.New(cfg.ITLB),
 		DTLB: tlb.New(cfg.DTLB),
-		STLB: tlb.New(stlb),
+		STLB: tlb.New(stlbConfig),
 		BP:   bp,
 		Pipe: pipeline.New(cfg.Pipe),
 	}
@@ -137,7 +135,6 @@ func (m *Machine) InstBlock(block []isa.Inst) {
 	events := m.events[:len(block)]
 	h, itlb, dtlb, stlb, bp := m.H, m.ITLB, m.DTLB, m.STLB, m.BP
 	l1i, l1d := h.L1I, h.L1D
-	walkLatency := stlb.Config().WalkLatency
 	lastCode, lastPage := m.lastCode, m.lastPage
 	var byOp [isa.NumOps]uint64
 	var taken, mispredicts uint64
@@ -234,9 +231,17 @@ func (m *Machine) InstBlock(block []isa.Inst) {
 	m.Pipe.StepBlock(block, events)
 }
 
+// stlbConfig is the second-level TLB of every modelled machine, whose
+// coverage is what keeps real-world TLB walk rates low.
+var stlbConfig = tlb.Config{Name: "STLB", Entries: 512, Ways: 4}
+
 // stlbHitLatency is the extra latency of a first-level TLB miss that
 // hits the second-level TLB.
 const stlbHitLatency = 7
+
+// walkLatency is the extra latency of a translation that misses both
+// TLB levels: a page walk.
+const walkLatency = 25
 
 // btbRedirectCycles is the decode-time fetch bubble when a taken
 // branch's target was absent from the BTB.

@@ -35,6 +35,13 @@ func TestXeonMatchesPaperTable3(t *testing.T) {
 	if cfg.FreqHz != 2.40e9 {
 		t.Error("frequency != 2.40 GHz")
 	}
+	// Table 4 reports 11-13 cycles for the Xeon's hybrid predictor.
+	if cfg.Predictor != PredHybrid {
+		t.Error("Xeon must use the hybrid predictor")
+	}
+	if cfg.Pipe.MispredictPenalty != 12 {
+		t.Errorf("Xeon penalty = %d, want 12", cfg.Pipe.MispredictPenalty)
+	}
 }
 
 func TestAtomMatchesPaperTable4(t *testing.T) {

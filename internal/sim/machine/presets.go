@@ -17,19 +17,16 @@ func XeonE5645() Config {
 		Cores:             6,
 		PeakFlopsPerCycle: 4, // 2 FP pipes x 128-bit SSE double
 
-		L1I: cache.Config{Name: "L1I", Size: 32 << 10, Ways: 4, LineSize: 64, Latency: 4},
-		L1D: cache.Config{Name: "L1D", Size: 32 << 10, Ways: 8, LineSize: 64, Latency: 4},
-		L2:  cache.Config{Name: "L2", Size: 256 << 10, Ways: 8, LineSize: 64, Latency: 10},
-		L3:  cache.Config{Name: "L3", Size: 12 << 20, Ways: 16, LineSize: 64, Latency: 38},
+		L1I: cache.Config{Name: "L1I", Size: 32 << 10, Ways: 4, LineSize: 64},
+		L1D: cache.Config{Name: "L1D", Size: 32 << 10, Ways: 8, LineSize: 64},
+		L2:  cache.Config{Name: "L2", Size: 256 << 10, Ways: 8, LineSize: 64},
+		L3:  cache.Config{Name: "L3", Size: 12 << 20, Ways: 16, LineSize: 64},
 
-		MemLatency: 190,
-
-		ITLB: tlb.Config{Name: "ITLB", Entries: 128, Ways: 4, WalkLatency: 20},
-		DTLB: tlb.Config{Name: "DTLB", Entries: 64, Ways: 4, WalkLatency: 25},
+		ITLB: tlb.Config{Name: "ITLB", Entries: 128, Ways: 4},
+		DTLB: tlb.Config{Name: "DTLB", Entries: 64, Ways: 4},
 
 		Predictor: PredHybrid,
 		Pipe: pipeline.Config{
-			Name:              "ooo-4w",
 			FetchWidth:        4,
 			CommitWidth:       4,
 			Window:            128,
@@ -40,8 +37,6 @@ func XeonE5645() Config {
 			FPLat:             4,
 			FPDivLat:          22,
 			LoadLat:           [5]int{0, 4, 10, 38, 190},
-			ITLBPenalty:       20,
-			DTLBPenalty:       25,
 		},
 	}
 }
@@ -57,18 +52,15 @@ func AtomD510() Config {
 		Cores:             2,
 		PeakFlopsPerCycle: 1,
 
-		L1I: cache.Config{Name: "L1I", Size: 32 << 10, Ways: 8, LineSize: 64, Latency: 3},
-		L1D: cache.Config{Name: "L1D", Size: 24 << 10, Ways: 6, LineSize: 64, Latency: 3},
-		L2:  cache.Config{Name: "L2", Size: 512 << 10, Ways: 8, LineSize: 64, Latency: 15},
+		L1I: cache.Config{Name: "L1I", Size: 32 << 10, Ways: 8, LineSize: 64},
+		L1D: cache.Config{Name: "L1D", Size: 24 << 10, Ways: 6, LineSize: 64},
+		L2:  cache.Config{Name: "L2", Size: 512 << 10, Ways: 8, LineSize: 64},
 
-		MemLatency: 170,
-
-		ITLB: tlb.Config{Name: "ITLB", Entries: 32, Ways: 4, WalkLatency: 30},
-		DTLB: tlb.Config{Name: "DTLB", Entries: 64, Ways: 4, WalkLatency: 30},
+		ITLB: tlb.Config{Name: "ITLB", Entries: 32, Ways: 4},
+		DTLB: tlb.Config{Name: "DTLB", Entries: 64, Ways: 4},
 
 		Predictor: PredTwoLevel,
 		Pipe: pipeline.Config{
-			Name:              "inorder-2w",
 			FetchWidth:        2,
 			CommitWidth:       2,
 			Window:            16,
@@ -79,9 +71,7 @@ func AtomD510() Config {
 			DivLat:            30,
 			FPLat:             5,
 			FPDivLat:          32,
-			LoadLat:           [5]int{0, 3, 15, 170, 170},
-			ITLBPenalty:       30,
-			DTLBPenalty:       30,
+			LoadLat:           [5]int{0, 3, 15, 0, 170}, // no L3
 		},
 	}
 }

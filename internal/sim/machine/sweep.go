@@ -62,7 +62,7 @@ func NewSweepSpec(sizesKB []int, ways, lineBytes int) (*Sweep, error) {
 	}
 	s := &Sweep{SizesKB: sizesKB, lineShift: uint(bits.TrailingZeros(uint(lineBytes)))}
 	for _, kb := range sizesKB {
-		cfg := cache.Config{Size: kb << 10, Ways: ways, LineSize: lineBytes, Latency: 1}
+		cfg := cache.Config{Size: kb << 10, Ways: ways, LineSize: lineBytes}
 		cfg.Name = "sweepI"
 		s.icaches = append(s.icaches, cache.New(cfg))
 		cfg.Name = "sweepD"

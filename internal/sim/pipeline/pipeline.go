@@ -19,8 +19,6 @@ import "repro/internal/sim/isa"
 
 // Config describes a core.
 type Config struct {
-	// Name labels the core model.
-	Name string
 	// FetchWidth is instructions fetched per cycle.
 	FetchWidth int
 	// CommitWidth is instructions committed per cycle.
@@ -37,10 +35,10 @@ type Config struct {
 	// Execution latencies in cycles.
 	IntLat, MulLat, DivLat, FPLat, FPDivLat int
 	// LoadLat maps the hit level (1..4: L1, L2, L3, memory) to load
-	// latency; index 0 is unused.
+	// latency, and to the fill latency of an instruction fetch served
+	// there; index 0 is unused. It is the model's only cache latency
+	// table.
 	LoadLat [5]int
-	// ITLBPenalty and DTLBPenalty are page-walk costs in cycles.
-	ITLBPenalty, DTLBPenalty int
 }
 
 // Model is the running pipeline state for one core. Construct with New;
@@ -117,12 +115,6 @@ func New(cfg Config) *Model {
 
 // Config returns the core configuration.
 func (m *Model) Config() Config { return m.cfg }
-
-// Step advances the model by one instruction: StepBlock over a block
-// of one, with the event's fields passed singly.
-func (m *Model) Step(i *isa.Inst, ilevel, dlevel int, mispredict bool, itlbExtra, dtlbExtra int) {
-	m.StepBlock([]isa.Inst{*i}, []Event{{FrontExtra: itlbExtra, DTLBExtra: dtlbExtra, ILevel: uint8(ilevel), DLevel: uint8(dlevel), Mispredict: mispredict}})
-}
 
 // StepBlock advances the model over a block of instructions, events[k]
 // describing block[k]. The scalar state lives in locals for the whole

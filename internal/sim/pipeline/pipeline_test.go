@@ -8,17 +8,21 @@ import (
 
 func testCfg(inorder bool) Config {
 	return Config{
-		Name: "test", FetchWidth: 4, CommitWidth: 4, Window: 128,
+		FetchWidth: 4, CommitWidth: 4, Window: 128,
 		InOrder: inorder, MispredictPenalty: 12,
 		IntLat: 1, MulLat: 3, DivLat: 20, FPLat: 4, FPDivLat: 22,
-		LoadLat: [5]int{0, 4, 10, 38, 190}, ITLBPenalty: 20, DTLBPenalty: 25,
+		LoadLat: [5]int{0, 4, 10, 38, 190},
 	}
+}
+
+// step advances m by one instruction: StepBlock over a block of one.
+func step(m *Model, i isa.Inst, ilevel, dlevel int, mispredict bool, dtlbExtra int) {
+	m.StepBlock([]isa.Inst{i}, []Event{{DTLBExtra: dtlbExtra, ILevel: uint8(ilevel), DLevel: uint8(dlevel), Mispredict: mispredict}})
 }
 
 func feed(m *Model, n int, build func(i int) isa.Inst, ilevel, dlevel int) {
 	for i := 0; i < n; i++ {
-		inst := build(i)
-		m.Step(&inst, ilevel, dlevel, false, 0, 0)
+		step(m, build(i), ilevel, dlevel, false, 0)
 	}
 }
 
@@ -109,7 +113,7 @@ func TestMispredictStall(t *testing.T) {
 	m := New(testCfg(false))
 	for i := 0; i < 1000; i++ {
 		inst := isa.Inst{Op: isa.Branch, Kind: isa.BrCond, PC: uint64(i * 4), Taken: true}
-		m.Step(&inst, 1, 0, i%10 == 0, 0, 0)
+		step(m, inst, 1, 0, i%10 == 0, 0)
 	}
 	if m.MispredictStall == 0 {
 		t.Fatal("mispredicts recorded no stall")
@@ -124,7 +128,7 @@ func TestCyclesMonotonic(t *testing.T) {
 	last := uint64(0)
 	for i := 0; i < 1000; i++ {
 		inst := isa.Inst{Op: isa.IntAlu, Dst: isa.Reg(8 + i%100)}
-		m.Step(&inst, 1, 0, false, 0, 0)
+		step(m, inst, 1, 0, false, 0)
 		if m.Cycles < last {
 			t.Fatalf("cycles went backwards at %d", i)
 		}
@@ -154,9 +158,8 @@ func TestDTLBExtraAddsLatency(t *testing.T) {
 	b := New(testCfg(false))
 	for i := 0; i < 2000; i++ {
 		inst := isa.Inst{Op: isa.Load, Dst: 5, Src1: 5, Addr: uint64(i * 8), Size: 8}
-		a.Step(&inst, 1, 1, false, 0, 0)
-		inst2 := inst
-		b.Step(&inst2, 1, 1, false, 0, 25)
+		step(a, inst, 1, 1, false, 0)
+		step(b, inst, 1, 1, false, 25)
 	}
 	if b.IPC() >= a.IPC() {
 		t.Fatalf("DTLB walks did not slow the chain: %.3f >= %.3f", b.IPC(), a.IPC())

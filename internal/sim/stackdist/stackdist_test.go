@@ -46,7 +46,7 @@ func (s *Stack) AccessBlock(recs []cache.Rec) {
 // cache.Access per access a record stands for.
 func replayCache(sets, ways int, blocks [][]cache.Rec) (uint64, uint64) {
 	c := cache.New(cache.Config{
-		Name: "ref", Size: sets * ways * 64, Ways: ways, LineSize: 64, Latency: 1,
+		Name: "ref", Size: sets * ways * 64, Ways: ways, LineSize: 64,
 	})
 	for _, b := range blocks {
 		for _, rec := range b {

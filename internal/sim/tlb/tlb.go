@@ -1,7 +1,9 @@
 // Package tlb models instruction and data translation look-aside
 // buffers. A TLB is structurally a small set-associative cache keyed by
-// page number; a miss charges a page-walk penalty in the pipeline and
-// is counted toward the ITLB/DTLB MPKI metrics of the paper's Fig. 5.
+// page number. The machine model decides what a miss costs: a
+// first-level miss goes to the shared second-level TLB, and a miss
+// there is a page walk, counted toward the ITLB/DTLB MPKI metrics of
+// the paper's Fig. 5.
 package tlb
 
 import "repro/internal/sim/mem"
@@ -14,8 +16,6 @@ type Config struct {
 	Entries int
 	// Ways is the associativity.
 	Ways int
-	// WalkLatency is the page-walk penalty in cycles on a miss.
-	WalkLatency int
 }
 
 // TLB is a set-associative translation buffer with true-LRU
@@ -53,9 +53,6 @@ func New(cfg Config) *TLB {
 		stamp: make([]uint64, n),
 	}
 }
-
-// Config returns the TLB geometry.
-func (t *TLB) Config() Config { return t.cfg }
 
 // Access translates addr, returning true on a TLB miss (page walk).
 func (t *TLB) Access(addr uint64) bool {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHitWithinPage(t *testing.T) {
-	tl := New(Config{Name: "t", Entries: 64, Ways: 4, WalkLatency: 25})
+	tl := New(Config{Name: "t", Entries: 64, Ways: 4})
 	if !tl.Access(0x1000) {
 		t.Fatal("cold translation did not miss")
 	}
@@ -21,7 +21,7 @@ func TestHitWithinPage(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	tl := New(Config{Name: "t", Entries: 64, Ways: 4, WalkLatency: 25})
+	tl := New(Config{Name: "t", Entries: 64, Ways: 4})
 	// Touch 64 distinct pages: all fit.
 	for p := uint64(0); p < 64; p++ {
 		tl.Access(p * mem.PageSize)
@@ -38,7 +38,7 @@ func TestCapacity(t *testing.T) {
 }
 
 func TestThrashBeyondCapacity(t *testing.T) {
-	tl := New(Config{Name: "t", Entries: 64, Ways: 4, WalkLatency: 25})
+	tl := New(Config{Name: "t", Entries: 64, Ways: 4})
 	r := xrand.New(3)
 	for i := 0; i < 10000; i++ {
 		tl.Access(r.Uint64n(1<<30) &^ (mem.PageSize - 1))

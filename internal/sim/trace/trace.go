@@ -424,17 +424,7 @@ func (e *Emitter) Branch(taken bool, dep isa.Reg) {
 
 // Call emits a direct call into r and moves the emitter there.
 func (e *Emitter) Call(r *Routine) {
-	e.call(r, isa.BrCall, isa.NoReg)
-}
-
-// CallIndirect emits an indirect call into r (virtual dispatch); the
-// indirect-branch predictor handles it differently from direct calls.
-func (e *Emitter) CallIndirect(r *Routine, dep isa.Reg) {
-	e.call(r, isa.BrIndirectCall, dep)
-}
-
-func (e *Emitter) call(r *Routine, kind isa.BranchKind, dep isa.Reg) {
-	e.put(isa.Branch, kind, true, e.pc, 0, r.Base, 0, isa.NoReg, dep, isa.NoReg)
+	e.put(isa.Branch, isa.BrCall, true, e.pc, 0, r.Base, 0, isa.NoReg, isa.NoReg, isa.NoReg)
 	ret := e.pc + isa.InstBytes
 	if e.depth < maxCallDepth {
 		e.stack[e.depth] = frame{pc: ret, rtn: e.rtn}

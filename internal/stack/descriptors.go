@@ -34,7 +34,6 @@ func MPI() Descriptor {
 		ShufflePerByte: 0.15,
 		HeapMB:         4,
 		Mix:            nativeMix,
-		IndirectEvery:  200,
 		BatchRows:      128,
 		SysCPUFactor:   4,
 	}
@@ -51,9 +50,8 @@ func Hadoop() Descriptor {
 		TaskInsts: 12000, IterInsts: 4000,
 		ShufflePerByte: 1.2,
 		GCPeriod:       400000, GCInsts: 9000, HeapMB: 48,
-		Mix:           jvmMix,
-		IndirectEvery: 75,
-		SysCPUFactor:  48,
+		Mix:          jvmMix,
+		SysCPUFactor: 48,
 	}
 }
 
@@ -71,9 +69,8 @@ func Spark() Descriptor {
 		TaskInsts: 9000, IterInsts: 2500,
 		ShufflePerByte: 1.0,
 		GCPeriod:       320000, GCInsts: 11000, HeapMB: 64,
-		Mix:           jvmMix,
-		IndirectEvery: 55,
-		SysCPUFactor:  17,
+		Mix:          jvmMix,
+		SysCPUFactor: 17,
 	}
 }
 
@@ -88,9 +85,8 @@ func Hive() Descriptor {
 		TaskInsts:      14000,
 		ShufflePerByte: 1.3,
 		GCPeriod:       400000, GCInsts: 9000, HeapMB: 48,
-		Mix:           jvmMix,
-		IndirectEvery: 70,
-		SysCPUFactor:  30,
+		Mix:          jvmMix,
+		SysCPUFactor: 30,
 	}
 }
 
@@ -104,10 +100,9 @@ func Shark() Descriptor {
 		TaskInsts: 9000, IterInsts: 2500,
 		ShufflePerByte: 1.0,
 		GCPeriod:       360000, GCInsts: 10000, HeapMB: 56,
-		Mix:           jvmMix,
-		IndirectEvery: 60,
-		BatchRows:     512,
-		SysCPUFactor:  9,
+		Mix:          jvmMix,
+		BatchRows:    512,
+		SysCPUFactor: 9,
 	}
 }
 
@@ -123,7 +118,6 @@ func Impala() Descriptor {
 		ShufflePerByte: 0.4,
 		HeapMB:         24,
 		Mix:            nativeMix,
-		IndirectEvery:  80,
 		BatchRows:      1024,
 		SysCPUFactor:   12,
 	}
@@ -144,9 +138,8 @@ func HBase() Descriptor {
 		RequestInsts:   5200,
 		ShufflePerByte: 0.8,
 		GCPeriod:       260000, GCInsts: 9000, HeapMB: 64,
-		Mix:           jvmMix,
-		IndirectEvery: 50,
-		SysCPUFactor:  30,
+		Mix:          jvmMix,
+		SysCPUFactor: 30,
 	}
 }
 
@@ -163,7 +156,6 @@ func MySQL() Descriptor {
 		ShufflePerByte: 0.5,
 		HeapMB:         32,
 		Mix:            nativeMix,
-		IndirectEvery:  60,
 		SysCPUFactor:   8,
 	}
 }

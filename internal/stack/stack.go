@@ -65,11 +65,8 @@ type Descriptor struct {
 	// serialization metadata is read.
 	HeapMB int
 
-	// Mix is the framework instruction composition; IndirectEvery adds
-	// an indirect call every so many framework instructions (virtual
-	// dispatch density).
-	Mix           trace.Mix
-	IndirectEvery int
+	// Mix is the framework instruction composition.
+	Mix trace.Mix
 
 	// ColdZipfS skews cold-routine popularity (default 1.35); service
 	// stacks use a steeper skew, keeping their hottest slow paths

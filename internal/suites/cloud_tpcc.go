@@ -20,7 +20,6 @@ func cloudService() stack.Descriptor {
 	d.ColdFrac = 0.68
 	d.ColdZipfS = 1.25
 	d.RequestInsts = 6200
-	d.IndirectEvery = 40
 	return d
 }
 

@@ -13,6 +13,7 @@ package sysmodel
 
 import (
 	"repro/internal/metrics"
+	"repro/internal/sim/machine"
 	"repro/internal/workloads"
 )
 
@@ -28,12 +29,14 @@ type ClusterConfig struct {
 	ReplicationOut int     // HDFS-style output replication factor
 }
 
-// DefaultCluster returns the paper's testbed deployment.
+// DefaultCluster returns the paper's testbed deployment: five nodes of
+// the machine.XeonE5645 preset.
 func DefaultCluster() ClusterConfig {
+	node := machine.XeonE5645()
 	return ClusterConfig{
 		Nodes:          5,
-		CoresPerNode:   6,
-		FreqHz:         2.40e9,
+		CoresPerNode:   node.Cores,
+		FreqHz:         node.FreqHz,
 		DiskBWBytes:    150e6,
 		NetBWBytes:     117e6, // 1 GbE
 		InputBytes:     128e9,

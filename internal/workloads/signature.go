@@ -10,8 +10,8 @@ import (
 // Signature returns a stable content identity for everything
 // Run(w, probe, budget) depends on besides the probe and the budget:
 // the workload ID (which seeds the run's RNG streams and stack
-// layout), the kernel's type, name and configuration, the full
-// software-stack descriptor, and the kernel code size.
+// layout), the kernel's type, name and configuration, and the full
+// software-stack descriptor.
 //
 // IDs alone are not unique identities across rosters — Table 2's
 // "H-Difference" runs on Hive while the 77-roster's "H-Difference"
@@ -30,14 +30,12 @@ func Signature(w Workload) string {
 		KernelName string
 		KernelCfg  json.RawMessage `json:",omitempty"`
 		Stack      stack.Descriptor
-		KernelKB   int
 	}{
 		ID:         w.ID,
 		KernelType: fmt.Sprintf("%T", w.Kernel),
 		KernelName: w.Kernel.Name(),
 		KernelCfg:  kcfg,
 		Stack:      w.Stack,
-		KernelKB:   w.KernelKB,
 	}
 	b, err := json.Marshal(sig)
 	if err != nil {

@@ -100,9 +100,10 @@ type Workload struct {
 	Category Category
 	// DataSet names the Table 1 dataset the workload consumes.
 	DataSet string
-	// KernelKB sizes the kernel's code routine (default 24 KB).
-	KernelKB int
 }
+
+// kernelCodeKB sizes every kernel's code routine.
+const kernelCodeKB = 24
 
 // Result summarizes one run.
 type Result struct {
@@ -164,11 +165,7 @@ func RunBlockCtx(ctx context.Context, w Workload, p trace.Probe, budget int64, b
 	e.SetCancel(done)
 	seed := idSeed(w.ID)
 	rt := stack.NewRuntime(w.Stack, e, l, seed)
-	kb := w.KernelKB
-	if kb <= 0 {
-		kb = 24
-	}
-	code := trace.NewRoutine(l, w.ID+"/kernel", uint64(kb)<<10)
+	code := trace.NewRoutine(l, w.ID+"/kernel", kernelCodeKB<<10)
 	e.Enter(code)
 	c := &Ctx{E: e, RT: rt, L: l, Rng: xrand.New(seed ^ 0xC0FFEE), Code: code}
 	w.Kernel.Run(c)
