@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/artifact"
@@ -640,6 +641,60 @@ func BenchmarkStoreHTTP(b *testing.B) {
 	}
 	st := srv.Metrics()
 	b.ReportMetric(float64(st.Int("put_bytes")+st.Int("served_bytes"))/float64(b.N), "wire-bytes/op")
+}
+
+// BenchmarkStoreHTTPPut measures artifactd's write path: parallel PUTs
+// of fresh entries over keep-alive clients into one in-process server
+// on a fresh directory, at the sizes of serve-mixed's uploads (a sweep
+// curve, about 150 encoded bytes, and a rendered scenario, about 2 KB).
+func BenchmarkStoreHTTPPut(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"curve-150B", 150}, {"render-2KB", 2 << 10}} {
+		b.Run(size.name, func(b *testing.B) {
+			srv, err := artifactd.New(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			empty, err := artifact.EncodeEntry(artifact.Entry{Version: artifact.Version, Kind: "bench-put", Label: "0"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := make([]byte, max(size.bytes-len(empty), 1))
+			for i := range payload {
+				payload[i] = byte(i * 7)
+			}
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				c, err := httpstore.New(ts.URL)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				for pb.Next() {
+					key := artifact.KeyOf("bench-put", next.Add(1))
+					entry, err := artifact.EncodeEntry(artifact.Entry{
+						Version: artifact.Version, Kind: key.Kind, Label: key.Label, Payload: payload,
+					})
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					c.Put(key.ID(), entry)
+				}
+			})
+			b.StopTimer()
+			if puts := srv.Metrics().Int("puts"); puts != int64(b.N) {
+				b.Fatalf("server accepted %d of %d puts", puts, b.N)
+			}
+		})
+	}
 }
 
 // BenchmarkRenderWarm measures the fully warm repro path the render

@@ -1,5 +1,5 @@
-// Command artifactd serves a content-keyed artifact store directory
-// over HTTP, so engine shards on different machines share one cache:
+// Command artifactd serves a content-keyed artifact store over HTTP,
+// so engine shards on different machines share one cache:
 // every shard points -store-url at this server, each artefact
 // (dataset content, profile record, sweep curves, rendered unit) is
 // computed by exactly one shard and downloaded by the rest, and the
@@ -13,11 +13,22 @@
 // on the way out, so corruption anywhere costs a recomputation, never
 // a wrong result.
 //
-// With -gc the entry directory is swept at startup and every
-// -gc-interval: entries older than the age bound are removed, and the
-// least recently used entries are evicted until the directory fits the
-// size bound. Eviction is safe at any moment — an evicted artefact is
-// recomputed by the next shard that needs it.
+// The entries live in one append-only log in -dir, entries.log: a
+// publish appends one checksummed record (id and encoded entry) and
+// an in-memory index, rebuilt from the log at startup, finds each
+// entry for reads. A record torn by a crash is cut at startup and a
+// record that fails its checksum is skipped; either costs one
+// recomputation. One artifactd owns a directory at a time. A directory
+// of per-entry <id>.gob files written by an older artifactd is not
+// read: every entry in it is recomputable, and the old files can be
+// deleted.
+//
+// With -gc the log is swept at startup and every -gc-interval: entries
+// not written or served for longer than the age bound are removed,
+// then the least recently used until the log fits the size bound, and
+// the survivors are rewritten oldest use first, so their recency
+// outlives a restart. Eviction is safe at any moment — an evicted
+// artefact is recomputed by the next shard that needs it.
 //
 // With -token (or $ARTIFACTD_TOKEN) every artifact request must carry
 // a matching "Authorization: Bearer" header — set it before exposing
@@ -53,10 +64,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":9444", "listen address")
-	dir := flag.String("dir", ".artifactd", "entry directory to serve (created if absent)")
+	dir := flag.String("dir", ".artifactd", "directory holding the entry log, entries.log (created if absent; an older artifactd's per-entry *.gob files are not read)")
 	token := flag.String("token", os.Getenv("ARTIFACTD_TOKEN"),
 		"require this bearer token on artifact requests (default $ARTIFACTD_TOKEN; empty = open server)")
-	gcSpec := flag.String("gc", "", `bound the entry directory, as a size, an age, or both: "4GB", "168h", "4GB,168h" (LRU sweep; empty = never collect)`)
+	gcSpec := flag.String("gc", "", `bound the entry log, as a size, an age, or both: "4GB", "168h", "4GB,168h" (LRU sweep that compacts the log; empty = never collect)`)
 	gcInterval := flag.Duration("gc-interval", 10*time.Minute, "how often to run the -gc sweep")
 	faultSpec := flag.String("fault-spec", "", `TESTING ONLY: inject faults into artifact requests, e.g. "seed=7,err=0.3,truncate=0.1" (see internal/faultinject; probe and stats endpoints stay clean)`)
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -82,7 +93,7 @@ func main() {
 			fatal(err)
 		}
 		sweep := func() {
-			res, err := artifact.GC(srv.Dir(), policy.MaxBytes, policy.MaxAge)
+			res, err := srv.GC(policy.MaxBytes, policy.MaxAge)
 			if err != nil {
 				logger.Error("gc sweep failed", "dir", srv.Dir(), "error", err)
 				return

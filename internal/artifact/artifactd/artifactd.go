@@ -1,7 +1,9 @@
 // Package artifactd implements the artifact store's network tier: the
-// HTTP server behind cmd/artifactd, publishing one disk-backed entry
-// directory to any number of remote shards (internal/artifact/httpstore
-// clients).
+// HTTP server behind cmd/artifactd, publishing one directory's entries
+// to any number of remote shards (internal/artifact/httpstore
+// clients). The server keeps the entries in one append-only log in
+// that directory, entries.log, indexed in memory (see log.go); a
+// publish appends one record instead of creating a file.
 //
 // Endpoints:
 //
@@ -15,8 +17,9 @@
 //	                     the server has and can verify — a cold peer's
 //	                     single round trip instead of a GET per key
 //	GET  /stats          counters as JSON (gets, hits, misses, puts,
-//	                     rejects, discards, entries, bytes)
-//	GET  /metrics        the same counters in Prometheus text format
+//	                     rejects, discards, ...) and the gauges entries
+//	                     (indexed entries) and bytes (the log's length)
+//	GET  /metrics        the same metrics in Prometheus text format
 //	GET  /healthz        liveness probe, "ok"
 //
 // With a bearer token configured (SetToken / artifactd -token), every
@@ -26,13 +29,14 @@
 // scrapers. Entry payloads cross the wire gzip-compressed when the
 // peer advertises it (Accept-Encoding on GET, Content-Encoding on
 // PUT); gob-encoded entries are repetitive, so this typically shrinks
-// wire bytes several-fold while the on-disk form stays raw.
+// wire bytes several-fold while the logged form stays raw.
 //
 // Verification happens on both ends of the wire: the server decodes
 // every uploaded entry and rejects ids that don't match the recorded
 // identity (so one shard can never poison another's keys with a
-// mislabelled upload), re-verifies entries on the way out (corrupted
-// files are reported as misses, costing the client a recomputation,
+// mislabelled upload), re-verifies entries on the way out (a record
+// that fails its checksum or its identity check is reported as a miss
+// and unindexed, costing the client a recomputation and a republish,
 // never a wrong result), and the client-side store verifies every
 // entry it downloads against the key it asked for.
 package artifactd
@@ -47,6 +51,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/telemetry"
@@ -60,13 +65,13 @@ const maxEntryBytes = artifact.MaxWireEntryBytes
 
 // idPattern matches well-formed entry ids: "<kind>-<16 hex>", with
 // kinds drawn from [a-z0-9-]. Anything else — path traversal attempts
-// included — is rejected before touching the filesystem.
+// included — is rejected before touching the log.
 var idPattern = regexp.MustCompile(`^[a-z0-9-]{1,128}-[0-9a-f]{16}$`)
 
-// Server serves one entry directory. Construct with New.
+// Server serves one directory's entry log. Construct with New.
 type Server struct {
-	backend *artifact.DiskBackend
-	token   string
+	log   *entryLog
+	token string
 
 	gets, hits, misses      atomic.Int64
 	puts, rejects, discards atomic.Int64
@@ -91,23 +96,38 @@ func (s *Server) authorized(r *http.Request) bool {
 	return ok && subtle.ConstantTimeCompare([]byte(auth), []byte(s.token)) == 1
 }
 
-// New returns a server over the entry directory dir (created if
-// absent).
+// New returns a server over the directory dir (created if absent),
+// with every record of its log whose checksum verifies indexed. An
+// older server's per-entry <id>.gob files in dir are not read.
 func New(dir string) (*Server, error) {
-	b, err := artifact.NewDiskBackend(dir)
+	l, err := openLog(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &Server{backend: b}, nil
+	return &Server{log: l}, nil
 }
 
-// Dir returns the served entry directory.
-func (s *Server) Dir() string { return s.backend.Dir() }
+// Dir returns the served directory.
+func (s *Server) Dir() string { return s.log.dir }
+
+// GC sweeps the log under artifact.GC's policy over each entry's last
+// write or serve: entries unused for longer than maxAge go, then the
+// least recently used until the log fits maxBytes (a zero bound is
+// unbounded). Survivors are rewritten oldest use first, so their
+// recency outlives a restart. Eviction is safe at any moment: an
+// evicted entry is recomputed by the next client that needs it.
+func (s *Server) GC(maxBytes int64, maxAge time.Duration) (artifact.GCResult, error) {
+	return s.log.gc(maxBytes, maxAge)
+}
+
+// Close closes the log. The server must not serve afterwards.
+func (s *Server) Close() error { return s.log.close() }
 
 // Metrics snapshots the server's counters: the one declaration behind
 // both GET /stats and GET /metrics. CI reads puts from /stats to prove a
 // warm pass recomputed nothing (it adds no puts).
 func (s *Server) Metrics() telemetry.List {
+	entries, bytes := s.log.stats()
 	return telemetry.List{
 		telemetry.Counter("gets", "artifactd_gets_total", "Artifact lookups received.", s.gets.Load()),
 		telemetry.Counter("hits", "artifactd_hits_total", "Lookups answered with an entry.", s.hits.Load()),
@@ -120,6 +140,8 @@ func (s *Server) Metrics() telemetry.List {
 		telemetry.Counter("unauthorized", "artifactd_unauthorized_total", "Artifact requests refused for a bad bearer token.", s.unauthorized.Load()),
 		telemetry.Counter("closure_requests", "artifactd_closure_requests_total", "Bulk closure downloads served.", s.closureReqs.Load()),
 		telemetry.Counter("closure_served", "artifactd_closure_served_total", "Entries returned by closure downloads.", s.closureServed.Load()),
+		telemetry.Gauge("entries", "artifactd_entries", "Entries indexed in the log.", int64(entries)),
+		telemetry.Gauge("bytes", "artifactd_bytes", "Length of the entry log in bytes, dead records included.", bytes),
 	}
 }
 
@@ -158,19 +180,32 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serve answers GET: it loads, re-verifies and sends. An entry that
-// fails verification (bit rot, a file renamed by hand) is a miss — the
-// client recomputes and republishes a good copy.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, id string) {
-	s.gets.Add(1)
-	b, ok := s.backend.Get(id)
-	if ok {
-		e, err := artifact.DecodeEntry(b)
-		if err != nil || e.Version != artifact.Version || e.Key().ID() != id {
-			s.discards.Add(1)
-			ok = false
+// load reads id's entry and re-verifies it: the record's checksum,
+// then the entry's decode, version and identity. An entry that fails
+// (bit rot, a mislabelled record) counts a discard and is unindexed,
+// so the client's republish appends a good copy; like a plain miss it
+// returns false.
+func (s *Server) load(id string) ([]byte, bool) {
+	b, rec, err := s.log.get(id)
+	if rec == nil {
+		return nil, false
+	}
+	if err == nil {
+		if e, err := artifact.DecodeEntry(b); err == nil && e.Version == artifact.Version && e.Key().ID() == id {
+			return b, true
 		}
 	}
+	s.discards.Add(1)
+	s.log.drop(id, rec)
+	return nil, false
+}
+
+// serve answers GET: it loads, re-verifies and sends. An entry that
+// fails verification is a miss — the client recomputes and
+// republishes a good copy.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, id string) {
+	s.gets.Add(1)
+	b, ok := s.load(id)
 	if !ok {
 		s.misses.Add(1)
 		http.NotFound(w, r)
@@ -178,10 +213,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	s.hits.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	// Compress on the wire when the client accepts it; storage stays
-	// raw so the directory remains a plain DiskBackend. The entry is
-	// compressed into a buffer first — wire bytes are counted exactly
-	// and Content-Length stays correct.
+	// Compress on the wire when the client accepts it; the log keeps
+	// the raw entry. The entry is compressed into a buffer first — wire
+	// bytes are counted exactly and Content-Length stays correct.
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		zb := artifact.GzipBytes(b)
 		w.Header().Set("Content-Encoding", "gzip")
@@ -196,7 +230,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, id string) {
 }
 
 // accept answers PUT: decode, verify the recorded identity hashes to
-// the addressed id, publish atomically. A gzip Content-Encoding is
+// the addressed id, append to the log. A gzip Content-Encoding is
 // unwrapped first (wire bytes are counted compressed; the stored form
 // is always the raw encoded entry, so mixed-transport clients share
 // entries transparently).
@@ -234,7 +268,7 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string) {
 			http.StatusBadRequest)
 		return
 	}
-	s.backend.Put(id, b)
+	s.log.put(id, b)
 	s.puts.Add(1)
 	s.putBytes.Add(int64(len(wire)))
 	w.WriteHeader(http.StatusNoContent)
@@ -288,7 +322,7 @@ func (s *Server) handleClosure(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		seen[id] = true
-		b, ok := s.backend.Get(id)
+		b, ok := s.load(id)
 		if !ok {
 			continue
 		}
@@ -296,11 +330,6 @@ func (s *Server) handleClosure(w http.ResponseWriter, r *http.Request) {
 			// Response full: the remaining ids fall back to per-key
 			// reads on the client, which is merely slower, never wrong.
 			break
-		}
-		e, err := artifact.DecodeEntry(b)
-		if err != nil || e.Version != artifact.Version || e.Key().ID() != id {
-			s.discards.Add(1)
-			continue
 		}
 		total += len(b)
 		entries = append(entries, artifact.ClosureEntry{ID: id, Data: b})

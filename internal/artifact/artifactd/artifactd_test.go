@@ -19,6 +19,7 @@ func start(t *testing.T) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -375,8 +376,8 @@ func TestClosureServesVerifiedEntriesInRequestOrder(t *testing.T) {
 			t.Fatalf("seed put %d: %d", i, resp.StatusCode)
 		}
 	}
-	// Corrupt the middle entry on disk: it must be silently absent.
-	srv.backend.Put(ids[1], []byte("garbage"))
+	// Overwrite the middle entry with garbage: it must be silently absent.
+	overwrite(srv, ids[1], []byte("garbage"))
 
 	resp := postClosure(t, ts.URL, []string{ids[2], ids[1], ids[0], ids[0]}, nil)
 	if resp.StatusCode != http.StatusOK {

@@ -174,6 +174,9 @@ func TestStatsMatchMetrics(t *testing.T) {
 	if stats["puts"] != 1 || stats["rejects"] != 1 || stats["hits"] != 1 || stats["misses"] != 1 {
 		t.Errorf("traffic not counted: %v", stats)
 	}
+	if size := logSize(t, srv.Dir()); stats["entries"] != 1 || stats["bytes"] != float64(size) {
+		t.Errorf("gauges entries %v, bytes %v; want 1 entry in a %d-byte log", stats["entries"], stats["bytes"], size)
+	}
 }
 
 // fetch GETs url and returns its body, failing t on anything but 200.
@@ -193,9 +196,11 @@ func fetch(t *testing.T, url string) []byte {
 
 // statsSurface is every /stats key and its JSON kind.
 var statsSurface = []string{
+	"bytes int",
 	"closure_requests int",
 	"closure_served int",
 	"discards int",
+	"entries int",
 	"gets int",
 	"hits int",
 	"misses int",
@@ -208,9 +213,11 @@ var statsSurface = []string{
 
 // metricsSurface is every /metrics family: name, type, label names.
 var metricsSurface = []string{
+	"artifactd_bytes gauge",
 	"artifactd_closure_requests_total counter",
 	"artifactd_closure_served_total counter",
 	"artifactd_discards_total counter",
+	"artifactd_entries gauge",
 	"artifactd_gets_total counter",
 	"artifactd_hits_total counter",
 	"artifactd_misses_total counter",

@@ -25,9 +25,6 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 	return &DiskBackend{dir: dir}, nil
 }
 
-// Dir returns the backend's root directory.
-func (d *DiskBackend) Dir() string { return d.dir }
-
 func (d *DiskBackend) path(id string) string {
 	return filepath.Join(d.dir, id+".gob")
 }

@@ -1,6 +1,9 @@
 package httpstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -22,9 +25,55 @@ func startServer(t *testing.T) (*artifactd.Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// restartServer closes srv and serves its directory from a new
+// artifactd, as a restart does.
+func restartServer(t *testing.T, srv *artifactd.Server) (*artifactd.Server, *httptest.Server) {
+	t.Helper()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := artifactd.New(srv.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { next.Close() })
+	ts := httptest.NewServer(next.Handler())
+	t.Cleanup(ts.Close)
+	return next, ts
+}
+
+// The server's entry log, as artifactd writes it: records of a 12-byte
+// header (id length, entry length, CRC-32C over id and entry, each a
+// little-endian uint32), then the id, then the encoded entry.
+const (
+	logName     = "entries.log"
+	headerBytes = 12
+)
+
+// serverLog returns the server's entry log.
+func serverLog(t *testing.T, srv *artifactd.Server) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(srv.Dir(), logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// logRecord frames id and entry as one record of the server's log.
+func logRecord(id string, entry []byte) []byte {
+	b := make([]byte, headerBytes, headerBytes+len(id)+len(entry))
+	binary.LittleEndian.PutUint32(b[0:], uint32(len(id)))
+	binary.LittleEndian.PutUint32(b[4:], uint32(len(entry)))
+	b = append(append(b, id...), entry...)
+	binary.LittleEndian.PutUint32(b[8:], crc32.Checksum(b[headerBytes:], crc32.MakeTable(crc32.Castagnoli)))
+	return b
 }
 
 func client(t *testing.T, url string) *Client {
@@ -73,7 +122,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPCorruptEntryFallsBack corrupts the server's copy on disk:
+// TestHTTPCorruptEntryFallsBack corrupts the server's copy in its log:
 // the server must refuse to serve it (a miss) and the client must
 // recompute and republish a good copy.
 func TestHTTPCorruptEntryFallsBack(t *testing.T) {
@@ -83,8 +132,10 @@ func TestHTTPCorruptEntryFallsBack(t *testing.T) {
 	if _, err := artifact.Get(a, key, func() (int, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(srv.Dir(), key.ID()+".gob")
-	if err := os.WriteFile(path, []byte("not gob at all"), 0o644); err != nil {
+	// The log holds one record: flip the last byte of its entry.
+	log := serverLog(t, srv)
+	log[len(log)-1] ^= 0xff
+	if err := os.WriteFile(filepath.Join(srv.Dir(), logName), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,12 +170,13 @@ func TestHTTPMislabelledEntryDiscarded(t *testing.T) {
 	if _, err := artifact.Get(a, other, func() (int, error) { return 2, nil }); err != nil {
 		t.Fatal(err)
 	}
-	// Rename other's entry file to key's id.
-	if err := os.Rename(
-		filepath.Join(srv.Dir(), other.ID()+".gob"),
-		filepath.Join(srv.Dir(), key.ID()+".gob")); err != nil {
+	// Re-address other's entry to key's id, checksum and all, and
+	// restart the server on that log.
+	entry := serverLog(t, srv)[headerBytes+len(other.ID()):]
+	if err := os.WriteFile(filepath.Join(srv.Dir(), logName), logRecord(key.ID(), entry), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	srv, ts = restartServer(t, srv)
 
 	b := artifact.NewWithBackend(client(t, ts.URL))
 	v, err := artifact.Get(b, key, func() (int, error) { return 1, nil })
@@ -158,8 +210,8 @@ func TestHTTPRejectsMislabelledUpload(t *testing.T) {
 	if st := srv.Metrics(); st.Int("rejects") != 1 || st.Int("puts") != 0 {
 		t.Fatalf("server stats %+v, want 1 reject / 0 puts", st)
 	}
-	if _, err := os.Stat(filepath.Join(srv.Dir(), victim.ID()+".gob")); !os.IsNotExist(err) {
-		t.Fatal("rejected upload reached the entry directory")
+	if st := srv.Metrics(); st.Int("entries") != 0 || bytes.Contains(serverLog(t, srv), []byte(victim.ID())) {
+		t.Fatal("rejected upload reached the entry log")
 	}
 }
 
@@ -239,7 +291,7 @@ func TestChainPutWritesAllTiers(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(localDir, key.ID()+".gob")); err != nil {
 		t.Fatal("fill missing from the local tier")
 	}
-	if _, err := os.Stat(filepath.Join(srv.Dir(), key.ID()+".gob")); err != nil {
+	if st := srv.Metrics(); st.Int("entries") != 1 || !bytes.Contains(serverLog(t, srv), []byte(key.ID())) {
 		t.Fatal("fill missing from the server")
 	}
 	if st := srv.Metrics(); st.Int("puts") != 1 {
@@ -329,7 +381,7 @@ func TestGzipRoundTripShrinksWire(t *testing.T) {
 		func() (blob, error) { return big, nil }); err != nil {
 		t.Fatal(err)
 	}
-	entrySize := dirEntrySize(t, srv.Dir())
+	entrySize := int64(len(serverLog(t, srv)) - headerBytes - len(key.ID()))
 	ss := srv.Metrics()
 	if ss.Int("put_bytes") >= entrySize/2 {
 		t.Fatalf("gzip PUT moved %d wire bytes for a %d-byte entry", ss.Int("put_bytes"), entrySize)
@@ -347,27 +399,6 @@ func TestGzipRoundTripShrinksWire(t *testing.T) {
 	if ss.Int("served_bytes") >= entrySize/2 {
 		t.Fatalf("gzip GET moved %d wire bytes for a %d-byte entry", ss.Int("served_bytes"), entrySize)
 	}
-}
-
-// dirEntrySize returns the size of the single entry file under dir.
-func dirEntrySize(t *testing.T, dir string) int64 {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, e := range ents {
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += info.Size()
-	}
-	if total == 0 {
-		t.Fatal("no stored entry found")
-	}
-	return total
 }
 
 // TestOpenStoreToken threads the CLI flag through to the client tier.

@@ -44,13 +44,14 @@ func XeonE5645() Config {
 // AtomD510 returns the configuration of the paper's low-power
 // comparison platform (Table 4): a dual-core 1.66 GHz in-order Atom
 // with the simple two-level predictor, a 128-entry BTB and a 15-cycle
-// misprediction penalty. It has no L3.
+// misprediction penalty. It has no L3. Cores and PeakFlopsPerCycle
+// (two cores, one flop a cycle on the real part) stay zero: Table 3,
+// the system model and Fig. 1 read them from the Xeon preset only, and
+// a preset holds only values something reads.
 func AtomD510() Config {
 	return Config{
-		Name:              "Intel Atom D510",
-		FreqHz:            1.66e9,
-		Cores:             2,
-		PeakFlopsPerCycle: 1,
+		Name:   "Intel Atom D510",
+		FreqHz: 1.66e9,
 
 		L1I: cache.Config{Name: "L1I", Size: 32 << 10, Ways: 8, LineSize: 64},
 		L1D: cache.Config{Name: "L1D", Size: 24 << 10, Ways: 6, LineSize: 64},
