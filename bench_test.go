@@ -1,14 +1,13 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// bench regenerates its artefact and reports the headline numbers as
-// custom benchmark metrics (paper targets in the metric names where
-// a single number exists), so
+// Benchmarks of the engine, the sweep passes, the machine model, the
+// store tiers and the serving paths, each reporting its throughput as
+// custom metrics:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// prints the full paper-vs-measured picture. The heavyweight profiled
-// runs are shared through a lazily-built session.
+// The paper's claims are checked, at the budgets repro prints with, by
+// BenchmarkPaperClaims in internal/experiments.
 
 import (
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -33,207 +31,6 @@ import (
 	"repro/internal/suites"
 	"repro/internal/workloads"
 )
-
-var (
-	benchOnce    sync.Once
-	benchSession *experiments.Session
-)
-
-func session() *experiments.Session {
-	benchOnce.Do(func() {
-		opt := experiments.Default()
-		// Benches prioritize breadth over per-run length.
-		opt.Budget = 1_500_000
-		opt.SweepBudget = 600_000
-		opt.RosterBudget = 500_000
-		benchSession = experiments.NewSession(opt)
-	})
-	return benchSession
-}
-
-func BenchmarkTable1DataSets(b *testing.B) {
-	var rows int
-	for i := 0; i < b.N; i++ {
-		rows = len(experiments.Table1())
-	}
-	b.ReportMetric(float64(rows), "datasets")
-}
-
-func BenchmarkTable2Classification(b *testing.B) {
-	s := session()
-	var cpu, io, hybrid int
-	for i := 0; i < b.N; i++ {
-		cpu, io, hybrid = 0, 0, 0
-		for _, r := range experiments.Table2(s) {
-			switch r.System.String() {
-			case "CPU-Intensive":
-				cpu++
-			case "IO-Intensive":
-				io++
-			default:
-				hybrid++
-			}
-		}
-	}
-	b.ReportMetric(float64(cpu), "cpu-intensive")
-	b.ReportMetric(float64(io), "io-intensive")
-	b.ReportMetric(float64(hybrid), "hybrid")
-}
-
-func BenchmarkTable4BranchPrediction(b *testing.B) {
-	s := session()
-	var r experiments.Table4Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Table4(s)
-	}
-	b.ReportMetric(r.AtomAvg*100, "atom-mispredict%(paper:7.8)")
-	b.ReportMetric(r.XeonAvg*100, "xeon-mispredict%(paper:2.8)")
-	b.ReportMetric(r.AtomAvg/r.XeonAvg, "ratio(paper:2.8)")
-}
-
-func BenchmarkFig1InstructionMix(b *testing.B) {
-	s := session()
-	var f experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		f = experiments.Fig1(s)
-	}
-	b.ReportMetric(f.BigDataBranchAvg*100, "branch%(paper:18.7)")
-	b.ReportMetric(f.BigDataIntAvg*100, "integer%(paper:38)")
-	b.ReportMetric(f.DataMovementShare*100, "datamove%(paper:73)")
-	b.ReportMetric(f.WithBranches*100, "datamove+br%(paper:92)")
-	b.ReportMetric(f.AvgGFLOPS, "GFLOPS(paper:0.1)")
-}
-
-func BenchmarkFig2IntegerBreakdown(b *testing.B) {
-	s := session()
-	var f experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		f = experiments.Fig2(s)
-	}
-	b.ReportMetric(f.IntAddr*100, "int-addr%(paper:64)")
-	b.ReportMetric(f.FPAddr*100, "fp-addr%(paper:18)")
-	b.ReportMetric(f.Other*100, "other%(paper:18)")
-}
-
-func fig3Value(f experiments.FigSeriesResult, name string) float64 {
-	for _, r := range f.Rows {
-		if r.Name == name {
-			return r.Values[0]
-		}
-	}
-	return 0
-}
-
-func BenchmarkFig3IPC(b *testing.B) {
-	s := session()
-	var f experiments.FigSeriesResult
-	for i := 0; i < b.N; i++ {
-		f = experiments.Fig3(s)
-	}
-	b.ReportMetric(f.Averages["big data (17 reps)"][0], "bd-IPC(paper:1.28)")
-	b.ReportMetric(fig3Value(f, "M-WordCount"), "M-WC-IPC(paper:1.8)")
-	b.ReportMetric(fig3Value(f, "H-WordCount"), "H-WC-IPC(paper:1.1)")
-	b.ReportMetric(fig3Value(f, "S-WordCount"), "S-WC-IPC(paper:0.9)")
-	b.ReportMetric(fig3Value(f, "H-Read"), "H-Read-IPC(paper:0.8)")
-	b.ReportMetric(fig3Value(f, "HPCC"), "HPCC-IPC(paper:1.5)")
-	b.ReportMetric(fig3Value(f, "PARSEC"), "PARSEC-IPC(paper:1.28)")
-	b.ReportMetric(fig3Value(f, "SPECINT"), "SPECINT-IPC(paper:0.9)")
-	b.ReportMetric(fig3Value(f, "SPECFP"), "SPECFP-IPC(paper:1.1)")
-}
-
-func BenchmarkFig4CacheBehaviour(b *testing.B) {
-	s := session()
-	var f experiments.FigSeriesResult
-	for i := 0; i < b.N; i++ {
-		f = experiments.Fig4(s)
-	}
-	get := func(name string, k int) float64 {
-		for _, r := range f.Rows {
-			if r.Name == name {
-				return r.Values[k]
-			}
-		}
-		return 0
-	}
-	b.ReportMetric(f.Averages["big data (17 reps)"][0], "bd-L1I-MPKI(paper:15)")
-	b.ReportMetric(f.Averages["service"][0], "service-L1I(paper:51)")
-	b.ReportMetric(get("CloudSuite", 0), "cloudsuite-L1I(paper:32)")
-	b.ReportMetric(get("M-WordCount", 0), "M-WC-L1I(paper:2)")
-	b.ReportMetric(get("H-WordCount", 0), "H-WC-L1I(paper:7)")
-	b.ReportMetric(get("S-WordCount", 0), "S-WC-L1I(paper:17)")
-	b.ReportMetric(f.Averages["big data (17 reps)"][2], "bd-L2-MPKI(paper:11)")
-	b.ReportMetric(f.Averages["big data (17 reps)"][3], "bd-L3-MPKI(paper:1.2)")
-}
-
-func BenchmarkFig5TLBBehaviour(b *testing.B) {
-	s := session()
-	var f experiments.FigSeriesResult
-	for i := 0; i < b.N; i++ {
-		f = experiments.Fig5(s)
-	}
-	b.ReportMetric(f.Averages["big data (17 reps)"][0], "bd-ITLB-MPKI(paper:0.05)")
-	b.ReportMetric(f.Averages["service"][0], "service-ITLB(paper:0.2)")
-	b.ReportMetric(f.Averages["big data (17 reps)"][1], "bd-DTLB-MPKI(paper:0.9)")
-	b.ReportMetric(f.Averages["service"][1], "service-DTLB(paper:1.8)")
-}
-
-func benchSweep(b *testing.B, run func(*experiments.Session) experiments.SweepResult, curves []string) {
-	s := session()
-	var r experiments.SweepResult
-	for i := 0; i < b.N; i++ {
-		r = run(s)
-	}
-	for _, c := range curves {
-		b.ReportMetric(float64(r.Knee(c, 0.25)), c+"-kneeKB")
-		b.ReportMetric(r.Curves[c][0], c+"-missRatio@16KB")
-	}
-}
-
-func BenchmarkFig6ICacheFootprint(b *testing.B) {
-	benchSweep(b, experiments.Fig6, []string{"Hadoop-workloads", "PARSEC-workloads"})
-}
-
-func BenchmarkFig7DCacheFootprint(b *testing.B) {
-	benchSweep(b, experiments.Fig7, []string{"Hadoop-workloads", "PARSEC-workloads"})
-}
-
-func BenchmarkFig8CombinedFootprint(b *testing.B) {
-	benchSweep(b, experiments.Fig8, []string{"Hadoop-workloads", "PARSEC-workloads"})
-}
-
-func BenchmarkFig9MPIFootprint(b *testing.B) {
-	benchSweep(b, experiments.Fig9, []string{"Hadoop-workloads", "PARSEC-workloads", "MPI-workloads"})
-}
-
-func BenchmarkSection3Reduction(b *testing.B) {
-	s := session()
-	var clusters, dims int
-	var explained float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Reduction(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		clusters = r.Reduction.K
-		dims = r.Reduction.Dimensions
-		explained = r.Reduction.Explained
-	}
-	b.ReportMetric(float64(clusters), "clusters(paper:17)")
-	b.ReportMetric(float64(dims), "pca-dims")
-	b.ReportMetric(explained*100, "variance%")
-}
-
-func BenchmarkSection55StackImpact(b *testing.B) {
-	s := session()
-	var r experiments.StackImpactResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.StackImpact(s)
-	}
-	b.ReportMetric(r.MPIAvgIPC, "mpi-IPC(paper:1.4)")
-	b.ReportMetric(r.OtherAvgIPC, "jvm-IPC(paper:1.16)")
-	b.ReportMetric(r.MPIAvgL1I, "mpi-L1I(paper:3.4)")
-	b.ReportMetric(r.OtherAvgL1I, "jvm-L1I(paper:12.6)")
-}
 
 // BenchmarkEngineSerial regenerates the full paper batch on one
 // worker, primers then units in definition order — the reference the

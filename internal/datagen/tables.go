@@ -16,9 +16,6 @@ type Column struct {
 	Base uint64
 }
 
-// Addr returns the simulated address of row i.
-func (c *Column) Addr(i int) uint64 { return c.Base + uint64(i)*8 }
-
 // Table is a columnar table.
 type Table struct {
 	Name string

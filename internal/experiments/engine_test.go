@@ -360,33 +360,3 @@ func TestKneeEdgeCases(t *testing.T) {
 		t.Errorf("descending curve knee = %d KB, want 32", got)
 	}
 }
-
-// TestFig6Fig9QualitativeClaims re-pins the paper's §5.4/§5.5 readings
-// through the engine path: the Hadoop instruction footprint dwarfs
-// PARSEC's, and the MPI implementations track PARSEC, not Hadoop.
-func TestFig6Fig9QualitativeClaims(t *testing.T) {
-	s := quickSession
-	f6 := Fig6(s)
-	hk := f6.Knee("Hadoop-workloads", 0.2)
-	pk := f6.Knee("PARSEC-workloads", 0.2)
-	if hk <= pk {
-		t.Errorf("Fig6: Hadoop knee %d KB not beyond PARSEC knee %d KB (paper: ~1024 vs ~128)", hk, pk)
-	}
-	f9 := Fig9(s)
-	mk := f9.Knee("MPI-workloads", 0.2)
-	pk9 := f9.Knee("PARSEC-workloads", 0.2)
-	hk9 := f9.Knee("Hadoop-workloads", 0.2)
-	if mk > pk9*4 {
-		t.Errorf("Fig9: MPI knee %d KB far beyond PARSEC knee %d KB — should track PARSEC", mk, pk9)
-	}
-	if mk >= hk9 {
-		t.Errorf("Fig9: MPI knee %d KB not below Hadoop knee %d KB", mk, hk9)
-	}
-	// And at the smallest cache the MPI miss ratio sits with PARSEC's
-	// order of magnitude, well below Hadoop's.
-	m16 := f9.Curves["MPI-workloads"][0]
-	h16 := f9.Curves["Hadoop-workloads"][0]
-	if m16 >= h16 {
-		t.Errorf("Fig9 at 16 KB: MPI %.4f not below Hadoop %.4f", m16, h16)
-	}
-}

@@ -392,11 +392,12 @@ func (s *Session) SweepCurvesMulti(w workloads.Workload, budget int64, sizes []i
 // associativity of waysList, one Curves per entry with the unselected
 // views nil. Each (geometry, view) pair is its own artefact, so
 // requests for different geometries or views share artefacts freely;
-// concurrent callers for one key block on its singleflight. Every pair
-// still cold here is priced by a single stack-distance trace pass over
-// the cold geometries and views — the cost model: one pass per
+// concurrent callers for one key block on its singleflight. The first
+// pair whose fill runs here prices every pair the call selected in a
+// single stack-distance trace pass — the cost model: one pass per
 // workload per request, however many associativities and views it
-// asks for, and none when all are warm.
+// asks for, and none when all are warm. Each key is looked up once, by
+// its own fill.
 func (s *Session) sweepCurves(w workloads.Workload, budget int64, sizes []int, waysList []int, lineBytes int, views machine.Views) []machine.Curves {
 	if len(waysList) == 0 {
 		panic("experiments: sweep curves with no geometries")
@@ -408,23 +409,13 @@ func (s *Session) sweepCurves(w workloads.Workload, budget int64, sizes []int, w
 		key artifact.Key
 	}
 	out := make([]machine.Curves, len(waysList))
-
-	// Peek first so the shared pass covers only the pairs still cold
-	// here.
-	st := s.ArtifactStore()
-	var cold []pair
+	var pairs []pair
 	for g, ways := range waysList {
 		out[g].SizesKB = sizes
 		for v, sv := range sweepViews {
-			if !views.Has(sv.bit) {
-				continue
+			if views.Has(sv.bit) {
+				pairs = append(pairs, pair{g, v, sweepKeyFor(w, budget, sizes, ways, lineBytes, sv.name)})
 			}
-			key := sweepKeyFor(w, budget, sizes, ways, lineBytes, sv.name)
-			if c, ok := artifact.Peek(st, key, check); ok {
-				*sv.curve(&out[g]) = c
-				continue
-			}
-			cold = append(cold, pair{g, v, key})
 		}
 	}
 	var computed []machine.Curves // this call's pass, once it ran
@@ -432,7 +423,7 @@ func (s *Session) sweepCurves(w workloads.Workload, budget int64, sizes []int, w
 		var sel machine.Views
 		var geoms []machine.SweepGeometry
 		at := map[int]int{} // index into waysList → the pass's geometry index
-		for _, p := range cold {
+		for _, p := range pairs {
 			sel |= sweepViews[p.v].bit
 			if _, ok := at[p.g]; !ok {
 				at[p.g] = len(geoms)
@@ -457,16 +448,17 @@ func (s *Session) sweepCurves(w workloads.Workload, budget int64, sizes []int, w
 		return nil
 	}
 
-	// Fill the cold keys in one order every caller shares, by key ID.
-	// The first key whose fill runs here runs the pass, then fills this
+	// Fill the keys in one order every caller shares, by key ID. The
+	// first key whose fill runs here runs the pass, then fills this
 	// call's later keys inside its own flight, so none of the pass's
 	// keys completes before that first one: a concurrent caller needing
 	// any of them waits on it and then finds them all, instead of
 	// winning a later key's flight and tracing again. A flight waits
 	// only on later keys in the shared order, so the waits cannot
 	// cycle. Whoever computes, the curves are identical.
-	slices.SortFunc(cold, func(a, b pair) int { return strings.Compare(a.key.ID(), b.key.ID()) })
-	for i, p := range cold {
+	st := s.ArtifactStore()
+	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.key.ID(), b.key.ID()) })
+	for i, p := range pairs {
 		curve := sweepViews[p.v].curve
 		if computed != nil {
 			*curve(&out[p.g]) = *curve(&computed[p.g])
@@ -476,7 +468,7 @@ func (s *Session) sweepCurves(w workloads.Workload, budget int64, sizes []int, w
 			if err := runPass(); err != nil {
 				return nil, err
 			}
-			for _, q := range cold[i+1:] {
+			for _, q := range pairs[i+1:] {
 				if q.key != p.key {
 					mustFill(artifact.GetChecked(st, q.key, check, func() ([]float64, error) {
 						return *sweepViews[q.v].curve(&computed[q.g]), nil

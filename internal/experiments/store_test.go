@@ -170,6 +170,26 @@ func TestWarmEngineStagesEveryKeyItReads(t *testing.T) {
 	}
 }
 
+// TestColdScenarioLooksEachKeyUpOnce counts the backend lookups of a
+// cold scenario shaped like the cold requests a serving fleet answers:
+// H-Grep at 16 and 64 KB under ways {1, 8}, instruction view. Each of
+// its three new keys — two sweep curves and the rendered scenario — is
+// looked up once, by its own fill.
+func TestColdScenarioLooksEachKeyUpOnce(t *testing.T) {
+	bb := &bulkBackend{entries: map[string][]byte{}}
+	s := NewSession(tinyOptions())
+	s.Store = artifact.NewWithBackend(bb)
+	spec := Scenario{Workloads: []string{"H-Grep"}, SizesKB: []int{16, 64}, WaysSet: []int{1, 8}}
+	if _, err := RunScenario(s, spec); err != nil {
+		t.Fatal(err)
+	}
+	bb.mu.Lock()
+	defer bb.mu.Unlock()
+	if bb.gets != 3 || len(bb.entries) != 3 {
+		t.Errorf("cold scenario made %d backend Gets for %d new keys, want 3 and 3", bb.gets, len(bb.entries))
+	}
+}
+
 // runUnits runs e and renders its visible units.
 func runUnits(t *testing.T, e *Engine) map[string][]byte {
 	t.Helper()

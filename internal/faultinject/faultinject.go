@@ -193,9 +193,6 @@ func New(spec Spec) *Injector {
 	}
 }
 
-// Spec returns the injector's spec.
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Stats snapshots the injected-fault counters.
 func (in *Injector) Stats() Stats {
 	return Stats{

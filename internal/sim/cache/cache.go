@@ -137,9 +137,6 @@ func position(r, w uint64) uint {
 	return uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Access looks up addr, installing the line on a miss (evicting the
 // LRU way) and returns true on a hit. write marks the line dirty.
 func (c *Cache) Access(addr uint64, write bool) bool {

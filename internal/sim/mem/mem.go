@@ -30,8 +30,6 @@ const (
 	HeapBase uint64 = 0x0000_0001_0000_0000
 	// HeapLimit bounds the simulated heap (16 GB of address space).
 	HeapLimit uint64 = HeapBase + 16<<30
-	// StackBase is the top of the simulated stack region (grows down).
-	StackBase uint64 = 0x0000_7FFF_FF00_0000
 )
 
 // Layout is a bump allocator over the simulated address space.

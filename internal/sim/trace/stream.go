@@ -151,9 +151,6 @@ func reduce(u, n uint64) uint64 {
 	return u % n
 }
 
-// Reset rewinds a sequential walk to its base.
-func (w *Walk) Reset() { w.pos = 0 }
-
 // Stream emits synthetic instructions matching a Mix, walking the PCs
 // of a routine and the addresses of one or two data Walks.
 //

@@ -62,17 +62,6 @@ func scanBytes(e *trace.Emitter, base uint64, start, end int32, acc isa.Reg) {
 	}
 }
 
-// hashWord emits the per-word hash mixing of a tokenizer (FNV-style:
-// multiply+xor per couple of bytes).
-func hashWord(e *trace.Emitter, wordLen int, dep isa.Reg) isa.Reg {
-	h := dep
-	for b := 0; b < wordLen; b += 2 {
-		h = e.Int(isa.IntMul, h, isa.NoReg)
-		h = e.Int(isa.IntAlu, h, isa.NoReg)
-	}
-	return h
-}
-
 // hashTable is an open-addressing hash table that exists both as real
 // Go arrays (so probes have real outcomes) and as a simulated memory
 // region (so probes have real address streams). Buckets are 16 bytes:
@@ -281,12 +270,4 @@ func bsearchEmit(e *trace.Emitter, base uint64, keys []uint64, target uint64) in
 		}
 	}
 	return lo
-}
-
-func nextPow2(x int) int {
-	n := 1
-	for n < x {
-		n <<= 1
-	}
-	return n
 }
